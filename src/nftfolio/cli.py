@@ -35,7 +35,6 @@ from .optimize import (
     max_sharpe_weights,
     select_assets,
 )
-from .replay import ReplayServer, generate_fixture, load_fixture, save_fixture
 from .report import render_portfolio_report, render_returns_report
 from .returns import InsufficientDataError, filter_dataset, time_weighted_return
 
@@ -230,6 +229,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    # Imported here so that the other stages do not load http.server.
+    from .replay import ReplayServer, generate_fixture, load_fixture, save_fixture
+
     if args.fixture:
         fixture = load_fixture(args.fixture)
     elif args.seed is not None:
@@ -295,7 +297,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     analyze = subs.add_parser("analyze", parents=[common], help="compute per-token compounded returns")
     analyze.add_argument("--dataset", required=True)
-    analyze.add_argument("--min-trades", type=int, default=2)
+    analyze.add_argument("--min-trades", type=int, default=2, help="drop tokens with fewer trades (at least 2)")
     analyze.add_argument("--cutoff", type=int, default=None, help="drop trades after this epoch second")
     analyze.add_argument("--out", default="returns.json")
     analyze.set_defaults(func=cmd_analyze)
@@ -363,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
                 sub.set_defaults(**applicable)
     try:
         args = parser.parse_args(argv)
+        # Checked after parsing so that a --config value is held to it too.
+        if args.command == "analyze" and args.min_trades < 2:
+            registry["analyze"].error("--min-trades must be at least 2: a return needs two trades")
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     if not getattr(args, "command", None):

@@ -14,9 +14,16 @@ next proxy identity and retries once.  None of these fail the crawl as a
 whole; fetch failures mark the token failed and move on.
 
 Progress is durable at token granularity: every completed token appends
-its full cleaned series to an append-only record store and updates the
-checkpoint, so partial histories are never persisted and an interrupted
-crawl resumes to a byte-identical dataset.
+its full cleaned series to an append-only record store, and a resumed
+crawl skips exactly the tokens whose series the store holds.  Partial
+histories are never persisted, so an interrupted crawl, even a killed one,
+resumes to a byte-identical dataset.  The checkpoint file is a summary
+(completed collections, completed and failed tokens) written once per
+collection, on a token failure and when a stop is taken.
+
+The limiter's spacing also holds across consecutive crawls: a crawl
+returns only once its next start slot has come, so a crawl started right
+after it (a resume, say) cannot start its first request early.
 """
 
 from __future__ import annotations
@@ -155,6 +162,16 @@ class RateLimiter:
 
     def release_slot(self) -> None:
         self._inflight.release()
+
+    def drain(self) -> None:
+        """Sleep until the next start slot, so that whatever runs after
+        this limiter is done keeps the spacing from its last start."""
+        with self._lock:
+            next_start = self._next_start
+        if next_start is not None:
+            delay = next_start - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
 
     @contextmanager
     def slot(self):
@@ -413,8 +430,12 @@ class _ResultStore:
     """Append-only JSONL store of enumeration orders and completed series.
 
     Records are keyed by (kind, series, token); re-appends overwrite on
-    load, so a crash between the store append and the checkpoint update
-    only costs a refetch, never correctness.
+    load.  The store is the record of crawl progress: a token counts as
+    done exactly when its series record is here.  Every record ends with a
+    newline, so an unterminated final line is an append that was cut
+    short (a killed process, a full disk); it is dropped and truncated
+    away on load, which costs one refetch.  Any other malformed line is a
+    SchemaError.
     """
 
     def __init__(self, path: Path):
@@ -422,13 +443,18 @@ class _ResultStore:
         self._orders: dict[str, list[str]] = {}
         self._series: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
         if path.exists():
-            with path.open(encoding="utf-8") as handle:
-                for line_no, line in enumerate(handle):
-                    line = line.strip()
-                    if not line:
+            committed = 0
+            torn = False
+            with path.open("rb") as handle:
+                for line_no, raw in enumerate(handle, 1):
+                    if not raw.endswith(b"\n"):
+                        torn = True
+                        break
+                    committed += len(raw)
+                    if not raw.strip():
                         continue
                     try:
-                        rec = json.loads(line)
+                        rec = json.loads(raw)
                         if rec["kind"] == "order":
                             self._orders[rec["series"]] = list(rec["tokens"])
                         elif rec["kind"] == "series":
@@ -436,10 +462,14 @@ class _ResultStore:
                                 [int(t) for t in rec["history"]],
                                 [float(p) for p in rec["price"]],
                             )
-                    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                        raise SchemaError(
-                            f"result store {path} line {line_no + 1}: {exc}"
-                        ) from exc
+                    except (KeyError, TypeError, ValueError) as exc:
+                        raise SchemaError(f"result store {path} line {line_no}: {exc}") from exc
+            if torn:
+                logger.warning(
+                    "stage=store event=torn-record path=%s line=%d dropped_bytes=%d",
+                    path, line_no, path.stat().st_size - committed,
+                )
+                os.truncate(path, committed)
         self._handle = path.open("a", encoding="utf-8")
 
     def append_order(self, series: str, tokens: list[str]) -> None:
@@ -501,9 +531,15 @@ def run_crawl(
 
     The checkpoint directory holds checkpoint.json, results.jsonl (the
     append-only record store), collections.json (the discovery index) and,
-    with cookie persistence enabled, cookies.json.  The final dataset is
-    written atomically, and a resumed crawl produces bytes identical to an
-    uninterrupted run.
+    with cookie persistence enabled, cookies.json.  A resume skips the
+    collections the checkpoint lists as complete and, within the others,
+    exactly the tokens whose series results.jsonl holds.  The checkpoint
+    is saved at the end of each collection, on a token failure and when a
+    stop is taken.  The final dataset is written atomically, and a resumed
+    crawl produces bytes identical to an uninterrupted run.
+
+    Before returning, the crawl waits for its limiter's next start slot,
+    so a crawl started right afterwards keeps the configured spacing.
     """
     workdir = Path(checkpoint_dir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -537,14 +573,9 @@ def run_crawl(
                 continue
             result = enumerate_tokens(client, config, ref)
             store.append_order(series_name, [t.token for t in result.tokens])
-            pending = [
-                t
-                for t in result.tokens
-                if not (
-                    (series_name, t.token) in checkpoint.completed_tokens
-                    and store.has_series(series_name, t.token)
-                )
-            ]
+            stored = {t.token for t in result.tokens if store.has_series(series_name, t.token)}
+            checkpoint.completed_tokens.update((series_name, tok) for tok in stored)
+            pending = [t for t in result.tokens if t.token not in stored]
             failures = 0
             skipped = 0
             worker_stop = threading.Event()
@@ -584,7 +615,6 @@ def run_crawl(
                         checkpoint.failed_tokens.discard((series_name, token_ref.token))
                         checkpoint.in_progress = None
                         completed_this_run += 1
-                        save_checkpoint(checkpoint, checkpoint_path)
                     if should_stop() and not worker_stop.is_set():
                         worker_stop.set()
                         for f in pending_futures:
@@ -594,13 +624,14 @@ def run_crawl(
                 break
             if failures == 0:
                 checkpoint.completed_collections.add(ref.collection_id)
-                save_checkpoint(checkpoint, checkpoint_path)
+            save_checkpoint(checkpoint, checkpoint_path)
             logger.info(
                 "stage=collection collection=%s tokens=%d failures=%d",
                 ref.collection_id, len(result.tokens), failures,
             )
 
         if stopped:
+            save_checkpoint(checkpoint, checkpoint_path)
             logger.info("stage=crawl status=stopped completed_tokens=%d", completed_this_run)
             return None
 
@@ -629,3 +660,4 @@ def run_crawl(
         if config.cookie_persistence:
             client.save_cookies(cookie_path)
         store.close()
+        limiter.drain()

@@ -26,7 +26,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import MomentEstimate, PipelineError, PortfolioAllocation, PriceSeries, TokenRef
 from .returns import InsufficientDataError
@@ -213,6 +212,10 @@ def max_sharpe_weights(moments: MomentEstimate, config: OptimizerConfig) -> Port
     if n == 1:
         w = np.array([1.0])
     else:
+        # Imported here: scipy.optimize costs ~0.4 s of start-up, which
+        # every other stage (the crawl included) would otherwise pay.
+        from scipy.optimize import minimize
+
         result = minimize(
             objective,
             np.full(n, 1.0 / n),

@@ -223,6 +223,9 @@ class _ReplayHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle's algorithm on, the
+    # second waits for the client's delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         pass

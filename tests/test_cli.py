@@ -163,6 +163,21 @@ class TestAnalyzeCommand:
         records = json.loads(out.read_text())
         assert [r["token"] for r in records] == ["busy1"]
 
+    @pytest.mark.parametrize("value", ["1", "0", "-3"])
+    def test_min_trades_below_two_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "returns.json"
+        rc = main(["analyze", "--dataset", str(tmp_path / "absent.json"),
+                   "--min-trades", value, "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "--min-trades" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_min_trades_below_two_from_config_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"min_trades": 1}))
+        rc = main(["analyze", "--config", str(cfg), "--dataset", str(tmp_path / "absent.json")])
+        assert rc == EXIT_USAGE
+
     def test_invalid_dataset_is_domain_error(self, tmp_path, capsys):
         bad = {
             "S": [
@@ -376,6 +391,19 @@ class TestInstalledEntryPoints:
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True, timeout=30)
         assert proc.returncode == 0
         assert "crawl" in proc.stdout and "replay" in proc.stdout
+
+    def test_stage_imports_leave_out_scipy_and_http_server(self):
+        # scipy is for optimize alone and http.server for replay alone; the
+        # other stages must not pay for importing them.
+        code = (
+            "import sys, nftfolio.cli, nftfolio.ingest; "
+            "print(sorted(m for m in ('scipy', 'http.server') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_invocation(self):
         proc = subprocess.run(

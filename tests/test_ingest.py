@@ -166,6 +166,16 @@ class TestRateLimiter:
         starts.sort()
         assert starts[-1] - starts[0] >= 7 * 0.05 - 0.01
 
+    def test_drain_waits_for_next_start_slot(self):
+        limiter = RateLimiter(qps_limit=1000.0, download_delay_seconds=0.2, max_concurrent=2)
+        start = time.monotonic()
+        limiter.drain()  # no slot taken yet: nothing to wait for
+        assert time.monotonic() - start < 0.1
+        with limiter.slot():
+            first = time.monotonic()
+        limiter.drain()
+        assert time.monotonic() - first >= 0.2 - 0.01
+
 
 class TestCrawlConfig:
     def test_rejects_bad_values(self):
@@ -560,6 +570,19 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="line 2"):
             _ResultStore(path)
 
+    def test_result_store_drops_torn_final_record(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        order = '{"kind":"order","series":"S","tokens":["a1"]}\n'
+        path.write_text(order + '{"kind":"series","series":"S","tok')
+        store = _ResultStore(path)
+        assert store.get_order("S") == ["a1"]
+        assert path.read_text() == order
+        store.append_series("S", "a1", [10, 20], [1.0, 2.0])
+        store.close()
+        reloaded = _ResultStore(path)
+        assert reloaded.get_series("S", "a1") == ([10, 20], [1.0, 2.0])
+        reloaded.close()
+
 
 class TestRunCrawl:
     def test_full_crawl_matches_fixture_contents(self, server_factory, tmp_path):
@@ -603,6 +626,33 @@ class TestRunCrawl:
         clean = run_crawl(config, tmp_path / "fresh")
         assert resumed is not None
         assert resumed.read_bytes() == clean.read_bytes()
+
+    def test_torn_store_record_resumes_byte_identical(self, server_factory, tmp_path):
+        fx = generate_fixture(42)
+        server = server_factory(fx)
+        config = fast_config(server.base_url, max_concurrent_per_host=1)
+        assert run_crawl(config, tmp_path / "torn", stop_after_tokens=2) is None
+        store_path = tmp_path / "torn" / "results.jsonl"
+        last = store_path.read_text().splitlines()[-1]
+        with store_path.open("a") as handle:
+            handle.write(last[: len(last) // 2])  # an append cut short
+
+        resumed = run_crawl(config, tmp_path / "torn")
+        clean = run_crawl(config, tmp_path / "fresh")
+        assert resumed is not None
+        assert resumed.read_bytes() == clean.read_bytes()
+        for line in store_path.read_text().splitlines():
+            json.loads(line)
+
+    def test_pacing_holds_across_consecutive_crawls(self, server_factory, tmp_path):
+        fx = generate_fixture(7, n_collections=1, tokens_per_collection=3)
+        server = server_factory(fx)
+        config = CrawlConfig(endpoint_base=server.base_url)  # stock pacing
+        assert run_crawl(config, tmp_path / "work", stop_after_tokens=1) is None
+        assert run_crawl(config, tmp_path / "work") is not None
+        starts = sorted(r.timestamp for r in server.request_log())
+        gaps = [b - a for a, b in zip(starts, starts[1:])]
+        assert min(gaps) >= 0.4 - 0.01
 
     def test_completed_crawl_rerun_only_rediscovers(self, server_factory, tmp_path):
         fx = generate_fixture(42)
