@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, CancelledError, ThreadPoolExecutor, wait
@@ -65,7 +64,6 @@ DEFAULT_USER_AGENT = (
     "Chrome/122.0 Safari/537.36"
 )
 DEFAULT_ACCEPT = "application/json, text/plain, */*"
-_TYPE_OCCURRENCE = re.compile(r"type")
 _HAS_NEXT_MARKER = '"has_next":true'
 
 
@@ -391,9 +389,10 @@ def fetch_trade_history(
     token: TokenRef,
     stop_event: threading.Event | None = None,
 ) -> PriceSeries:
-    """Page through a token's activities (offset += page size) until a page
-    with no "type" occurrences or an empty array, keep only buyNow sales,
-    and return the cleaned series."""
+    """Page through a token's activities (offset += page size) until an
+    empty array, keep only buyNow sales, and return the cleaned series.
+    A body that is not a JSON array of events (an empty 200, say) is a
+    TokenFetchError, never an end of history."""
     sales: list[TradeEvent] = []
     offset = 0
     pages = 0
@@ -402,21 +401,17 @@ def fetch_trade_history(
             raise CrawlStopped(token.token)
         body = _fetch_activities_page(client, config, token.token, offset)
         pages += 1
-        if not _TYPE_OCCURRENCE.search(body):
-            terminator = "no-type-occurrences"
-            break
         try:
             events = extract.parse_activity_page(body)
         except extract.ActivityParseError as exc:
             raise TokenFetchError(token.token, offset, str(exc)) from exc
         if not events:
-            terminator = "empty-array"
             break
         sales.extend(e for e in events if e.event_type == "buyNow")
         offset += config.page_size_activities
     logger.info(
-        "stage=fetch token=%s pages=%d sales=%d terminator=%s",
-        token.token, pages, len(sales), terminator,
+        "stage=fetch token=%s pages=%d sales=%d",
+        token.token, pages, len(sales),
     )
     raw = PriceSeries(
         token=token,

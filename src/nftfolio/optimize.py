@@ -12,12 +12,14 @@ The portfolio step maximizes the Sharpe ratio
 
     (E[R_p] - R_f) / sigma_p,   R_p = w . mu,   sigma_p = sqrt(w' Sigma w)
 
-over the simplex (weights sum to one, no shorting) by minimizing the
-negative Sharpe ratio from an equal-weight start.  The SQP iterations
-stop when the objective improves by less than ``objective_tolerance`` or
-after ``max_iterations``; the result is then polished with the
-closed-form tangency solution restricted to the active support, kept
-only when it is feasible and not worse.
+over the simplex (weights sum to one, no shorting).  With excess returns
+m = mu - R_f, that is the convex quadratic program
+
+    min 1/2 z' Sigma z - m' z   subject to z >= 0,   w = z / sum(z)
+
+(Cornuejols & Tutuncu, Optimization Methods in Finance, 2007, section 8.2),
+solved exactly by the Lawson-Hanson active-set method (Lawson & Hanson,
+Solving Least Squares Problems, 1974, chapter 23).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MomentEstimate, PipelineError, PortfolioAllocation, PriceSeries, TokenRef
+from .model import MomentEstimate, PipelineError, PortfolioAllocation, PriceSeries
 from .returns import InsufficientDataError
 
 logger = logging.getLogger(__name__)
@@ -37,7 +39,8 @@ _PSD_TOL = 1e-12
 
 
 class DegeneratePortfolioError(PipelineError):
-    """Portfolio variance is zero; the Sharpe ratio is undefined."""
+    """The Sharpe ratio has no well-defined maximizer: the portfolio variance
+    is zero, or the covariance is singular on the solver's support."""
 
 
 class NoFeasibleTangencyError(PipelineError):
@@ -51,16 +54,14 @@ class OptimizerConfig:
     top_k: int = 10
     grid_period_seconds: int = 86400
     ridge_epsilon: float = 1e-10
-    max_iterations: int = 1000
-    objective_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
         if self.grid_period_seconds <= 0:
             raise ValueError("grid_period_seconds must be positive")
-        if self.ridge_epsilon < 0 or self.max_iterations < 1 or self.objective_tolerance <= 0:
-            raise ValueError("ridge_epsilon/max_iterations/objective_tolerance out of range")
+        if self.ridge_epsilon < 0:
+            raise ValueError("ridge_epsilon must be non-negative")
 
 
 def select_assets(series_list: list[PriceSeries], k: int) -> list[PriceSeries]:
@@ -154,34 +155,19 @@ def neg_sharpe(
     return -(portfolio_return - risk_free_rate) / volatility
 
 
-def _restricted_tangency(
-    mu: np.ndarray, sigma: np.ndarray, rf: float, support: np.ndarray
-) -> np.ndarray | None:
-    """Closed-form tangency weights on a support set, or None when the
-    solution leaves the simplex or the system is singular."""
-    idx = np.flatnonzero(support)
-    if idx.size == 0:
-        return None
-    try:
-        y = np.linalg.solve(sigma[np.ix_(idx, idx)], mu[idx] - rf)
-    except np.linalg.LinAlgError:
-        return None
-    total = y.sum()
-    if not np.isfinite(y).all() or total <= 0 or (y / total < -1e-12).any():
-        return None
-    w = np.zeros(len(mu))
-    w[idx] = y / total
-    return w
-
-
 def max_sharpe_weights(moments: MomentEstimate, config: OptimizerConfig) -> PortfolioAllocation:
     """Long-only weights maximizing the Sharpe ratio of the moment estimate.
 
-    Runs SQP from equal weights under sum-to-one and [0, 1] bounds, then
-    compares a handful of feasible candidates (the SQP point, closed-form
-    tangency solutions on its support and on every asset, equal weights
-    and the best single asset) and keeps the best.  Raises
-    NoFeasibleTangencyError when no asset beats the risk-free rate.
+    Active-set loop on ``min 1/2 z' Sigma z - m' z, z >= 0``: each outer
+    step adds the off-support asset with the largest gradient ``m - Sigma z``
+    and solves ``Sigma_SS z_S = m_S`` on the support.  When that solution
+    has a component at or below zero, ``z`` moves from its last feasible
+    value toward it until a component reaches zero; that asset leaves the
+    support and the solve repeats.  The loop stops once no off-support
+    gradient exceeds 1e-12 of ``max m``.  At ``z = 0`` the gradient is
+    ``m`` itself, so the loop never stops with an empty support.  Raises NoFeasibleTangencyError when no asset beats the risk-free rate,
+    and DegeneratePortfolioError when the support system is singular or
+    the loop does not settle within 3n outer steps.
     """
     mu = moments.mean_returns
     sigma = moments.covariance
@@ -193,64 +179,42 @@ def max_sharpe_weights(moments: MomentEstimate, config: OptimizerConfig) -> Port
         raise NoFeasibleTangencyError(
             f"no asset return exceeds the risk-free rate {rf}; tangency portfolio undefined"
         )
-
-    def objective(w: np.ndarray) -> float:
-        variance = float(w @ sigma @ w)
-        if variance <= 0.0:
-            return 1e18  # degenerate corner; push the iterate away
-        return -(float(np.dot(w, mu)) - rf) / np.sqrt(variance)
-
-    candidates: list[np.ndarray] = [np.full(n, 1.0 / n)]
-    diag = np.diag(sigma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        single = np.where(diag > 0, (mu - rf) / np.sqrt(diag), -np.inf)
-    best_single = int(np.argmax(single))
-    unit = np.zeros(n)
-    unit[best_single] = 1.0
-    candidates.append(unit)
-
-    if n == 1:
-        w = np.array([1.0])
+    m = mu - rf
+    tol = 1e-12 * float(m.max())
+    z = np.zeros(n)
+    support = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        gradient = np.where(support, -np.inf, m - sigma @ z)
+        j = int(np.argmax(gradient))
+        if gradient[j] <= tol:
+            break
+        support[j] = True
+        while support.any():
+            idx = np.flatnonzero(support)
+            try:
+                s = np.linalg.solve(sigma[np.ix_(idx, idx)], m[idx])
+            except np.linalg.LinAlgError as exc:
+                raise DegeneratePortfolioError(f"singular covariance on the support: {exc}") from exc
+            blocked = s <= 0
+            if not blocked.any():
+                z[idx] = s
+                break
+            # Step from the feasible z toward s until the first blocked
+            # component reaches zero; it (and any tie) leaves the support.
+            zs = z[idx]
+            ratio = np.divide(zs, zs - s, out=np.zeros_like(zs), where=blocked & (zs > 0))
+            k = int(np.argmin(np.where(blocked, ratio, np.inf)))
+            z[idx] = zs + ratio[k] * (s - zs)
+            z[idx[k]] = 0.0
+            support[idx] = z[idx] > 0
+            z[~support] = 0.0
     else:
-        # Imported here: scipy.optimize costs ~0.4 s of start-up, which
-        # every other stage (the crawl included) would otherwise pay.
-        from scipy.optimize import minimize
-
-        result = minimize(
-            objective,
-            np.full(n, 1.0 / n),
-            method="SLSQP",
-            bounds=tuple((0.0, 1.0) for _ in range(n)),
-            constraints=({"type": "eq", "fun": lambda w: np.sum(w) - 1.0},),
-            options={"ftol": config.objective_tolerance, "maxiter": config.max_iterations},
-        )
-        w = np.clip(np.asarray(result.x, dtype=float), 0.0, None)
-        if w.sum() > 0:
-            candidates.append(w / w.sum())
-        polish = _restricted_tangency(mu, sigma, rf, w > 1e-9)
-        if polish is not None:
-            candidates.append(polish)
-        full = _restricted_tangency(mu, sigma, rf, np.ones(n, dtype=bool))
-        if full is not None:
-            candidates.append(full)
-
-    best_w: np.ndarray | None = None
-    best_obj = np.inf
-    for cand in candidates:
-        cand = np.clip(cand, 0.0, None)
-        total = cand.sum()
-        if total <= 0:
-            continue
-        cand = cand / total
-        obj = objective(cand)
-        if obj < best_obj:
-            best_obj, best_w = obj, cand
-    if best_w is None or not np.isfinite(best_obj):
-        raise DegeneratePortfolioError("no candidate portfolio has positive volatility")
+        raise DegeneratePortfolioError(f"active-set loop did not settle in {3 * n} steps")
+    w = z / z.sum()
     return PortfolioAllocation(
         assets=moments.assets,
-        weights=tuple(float(x) for x in best_w),
-        sharpe=-best_obj,
+        weights=tuple(float(x) for x in w),
+        sharpe=-neg_sharpe(w, mu, sigma, rf),
         risk_free_rate=rf,
     )
 

@@ -393,7 +393,7 @@ class TestInstalledEntryPoints:
         assert "crawl" in proc.stdout and "replay" in proc.stdout
 
     def test_stage_imports_leave_out_scipy_and_http_server(self):
-        # scipy is for optimize alone and http.server for replay alone; the
+        # http.server is for replay alone and nothing needs scipy; the
         # other stages must not pay for importing them.
         code = (
             "import sys, nftfolio.cli, nftfolio.ingest; "
@@ -404,6 +404,22 @@ class TestInstalledEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_solve_path_leaves_out_scipy(self):
+        code = (
+            "import sys, numpy as np; "
+            "from nftfolio.model import MomentEstimate, TokenRef; "
+            "from nftfolio.optimize import OptimizerConfig, max_sharpe_weights; "
+            "m = MomentEstimate(tuple(TokenRef(t, 'S') for t in 'abc'), "
+            "np.array([0.1, 0.2, 0.15]), np.diag([0.01, 0.04, 0.02]), 86400); "
+            "max_sharpe_weights(m, OptimizerConfig()); "
+            "print('scipy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -38,6 +38,7 @@ from nftfolio.model import (
     validate_dataset,
 )
 from nftfolio.replay import (
+    EMPTY_BODY,
     HTTP_403,
     RESET,
     TIMEOUT,
@@ -690,6 +691,28 @@ class TestRunCrawl:
         checkpoint = load_checkpoint(tmp_path / "work" / "checkpoint.json")
         assert checkpoint.failed_tokens == {(name, bad)}
         assert checkpoint.completed_collections == set()
+
+    def test_empty_body_mid_history_fails_token_until_refetched(self, server_factory, tmp_path):
+        # A 200 with an empty body at offset 10 of a 20-sale history is a
+        # fetch failure, not the end of the history: nothing of the token
+        # is kept, and the next run fetches all 20 sales.
+        fx = manual_fixture({
+            "GapTok1": [sale(1_700_000_000 + 61 * i, 1.0 + 0.125 * i) for i in range(20)],
+            "FullTok1": [sale(1_700_000_000 + 67 * i, 2.0 + 0.25 * i) for i in range(5)],
+        })
+        fx.fault_schedule.append(FaultRule("/tokens/GapTok1/activities?offset=10", EMPTY_BODY))
+        server = server_factory(fx)
+        config = fast_config(server.base_url, page_size_activities=10)
+        work = tmp_path / "work"
+        out = run_crawl(config, work)
+        assert load_dataset(out) == expected_dataset(fx, exclude={"GapTok1"})
+        checkpoint = load_checkpoint(work / "checkpoint.json")
+        assert checkpoint.failed_tokens == {("ManualSeries", "GapTok1")}
+        assert checkpoint.completed_collections == set()
+
+        healed = load_dataset(run_crawl(config, work))
+        assert healed == expected_dataset(fx)
+        assert len(healed["ManualSeries"][0]) == 20
 
     def test_failed_token_recovered_on_next_run(self, server_factory, tmp_path):
         fx = generate_fixture(42, n_collections=1)

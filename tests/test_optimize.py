@@ -1,11 +1,13 @@
 """Moment estimation and max-Sharpe solver tests.
 
-Three independent reference routes guard the solver:
+Four independent reference routes guard the solver:
 
 * closed-form tangency weights w ~ inv(Sigma) (mu - rf), normalized, valid
   whenever the unconstrained solution is already long-only;
 * an exhaustive simplex grid search (library-provided but exercised here
   against hand-checkable cases before it is trusted);
+* the optimality (KKT) conditions, checked from the returned weights alone
+  on up to ten assets;
 * a textbook two-pass covariance computed with plain loops.
 """
 
@@ -274,6 +276,45 @@ class TestMaxSharpeWeights:
             unshuffled[perm] = alloc_p.weights
             assert np.asarray(alloc.weights) == pytest.approx(unshuffled, abs=1e-9)
 
+    def test_kkt_conditions_beyond_grid_oracle(self):
+        # Up to ten assets, past the grid oracle's four-asset limit, so the
+        # optimality conditions are the reference: with lam = w'Sw / w'm,
+        # lam * m - S w is zero on the support and non-positive off it.
+        # Odd cases have fewer grid returns than assets, so the covariance
+        # is singular but for the ridge estimate_moments adds; its
+        # condition number (~1e8) sets their looser tolerance.
+        rng = np.random.default_rng(8080)
+        solved = bound_binds = 0
+        for case in range(200):
+            n = int(rng.integers(2, 11))
+            rf = 0.01 * (case % 3 == 0)
+            config = OptimizerConfig(risk_free_rate=rf)
+            if case % 2:
+                steps = np.exp(rng.normal(0.01, 0.05, size=(int(rng.integers(2, n + 1)), n)))
+                prices = np.vstack([np.ones(n), np.cumprod(steps, axis=0)])
+                assets = [day_series(f"t{j}", list(prices[:, j])) for j in range(n)]
+                moments = estimate_moments(assets, config)
+                tol = 1e-6
+            else:
+                a = rng.normal(size=(n, n))
+                moments = moments_of(rng.uniform(-0.1, 0.3, size=n), a @ a.T + 0.05 * np.eye(n))
+                tol = 1e-10
+            if moments.mean_returns.max() <= rf:
+                continue
+            alloc = max_sharpe_weights(moments, config)
+            w = np.asarray(alloc.weights)
+            assert abs(w.sum() - 1.0) <= 1e-9
+            assert w.min() >= -1e-12
+            m = moments.mean_returns - rf
+            sw = moments.covariance @ w
+            residual = ((w @ sw) / (w @ m) * m - sw) / np.abs(sw).max()
+            on = w > 0
+            assert np.abs(residual[on]).max() <= tol, case
+            assert (residual[~on] <= tol).all(), case
+            solved += 1
+            bound_binds += not on.all()
+        assert solved >= 150 and bound_binds >= 50
+
     def test_deterministic_across_calls(self):
         m = moments_of([0.12, 0.2, 0.05], np.diag([0.02, 0.05, 0.01]))
         config = OptimizerConfig()
@@ -289,7 +330,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(grid_period_seconds=0)
         with pytest.raises(ValueError):
-            OptimizerConfig(objective_tolerance=0.0)
+            OptimizerConfig(ridge_epsilon=-1.0)
 
     def test_moment_estimate_requires_symmetry(self):
         with pytest.raises(ValueError, match="symmetric"):
