@@ -40,7 +40,8 @@ _PSD_TOL = 1e-12
 
 class DegeneratePortfolioError(PipelineError):
     """The Sharpe ratio has no well-defined maximizer: the portfolio variance
-    is zero, or the covariance is singular on the solver's support."""
+    is zero, or the solver meets a singular covariance on its support or
+    does not settle."""
 
 
 class NoFeasibleTangencyError(PipelineError):
@@ -165,7 +166,9 @@ def max_sharpe_weights(moments: MomentEstimate, config: OptimizerConfig) -> Port
     value toward it until a component reaches zero; that asset leaves the
     support and the solve repeats.  The loop stops once no off-support
     gradient exceeds 1e-12 of ``max m``.  At ``z = 0`` the gradient is
-    ``m`` itself, so the loop never stops with an empty support.  Raises NoFeasibleTangencyError when no asset beats the risk-free rate,
+    ``m`` itself, so the loop never stops with an empty support.
+
+    Raises NoFeasibleTangencyError when no asset beats the risk-free rate,
     and DegeneratePortfolioError when the support system is singular or
     the loop does not settle within 3n outer steps.
     """

@@ -393,10 +393,15 @@ class TestInstalledEntryPoints:
         assert "crawl" in proc.stdout and "replay" in proc.stdout
 
     def test_stage_imports_leave_out_scipy_and_http_server(self):
-        # http.server is for replay alone and nothing needs scipy; the
-        # other stages must not pay for importing them.
+        # http.server is for replay alone and nothing needs scipy, not even
+        # a solve; the other stages must not pay for importing them.
         code = (
-            "import sys, nftfolio.cli, nftfolio.ingest; "
+            "import sys, numpy as np, nftfolio.cli, nftfolio.ingest; "
+            "from nftfolio.model import MomentEstimate, TokenRef; "
+            "from nftfolio.optimize import OptimizerConfig, max_sharpe_weights; "
+            "m = MomentEstimate(tuple(TokenRef(t, 'S') for t in 'abc'), "
+            "np.array([0.1, 0.2, 0.15]), np.diag([0.01, 0.04, 0.02]), 86400); "
+            "max_sharpe_weights(m, OptimizerConfig()); "
             "print(sorted(m for m in ('scipy', 'http.server') if m in sys.modules))"
         )
         proc = subprocess.run(
@@ -404,22 +409,6 @@ class TestInstalledEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
-
-    def test_solve_path_leaves_out_scipy(self):
-        code = (
-            "import sys, numpy as np; "
-            "from nftfolio.model import MomentEstimate, TokenRef; "
-            "from nftfolio.optimize import OptimizerConfig, max_sharpe_weights; "
-            "m = MomentEstimate(tuple(TokenRef(t, 'S') for t in 'abc'), "
-            "np.array([0.1, 0.2, 0.15]), np.diag([0.01, 0.04, 0.02]), 86400); "
-            "max_sharpe_weights(m, OptimizerConfig()); "
-            "print('scipy' in sys.modules)"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
 
     def test_module_invocation(self):
         proc = subprocess.run(
