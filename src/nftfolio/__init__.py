@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .model import (
     CollectionRef,
-    CrawlCheckpoint,
     Dataset,
     IntervalReturn,
     MomentEstimate,
@@ -20,7 +19,6 @@ from .model import (
 
 __all__ = [
     "CollectionRef",
-    "CrawlCheckpoint",
     "Dataset",
     "IntervalReturn",
     "MomentEstimate",

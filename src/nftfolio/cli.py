@@ -83,7 +83,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     path = run_crawl(config, args.workdir, out_path=args.out, stop_after_tokens=args.max_tokens)
     if path is None:
         logger.info("stage=crawl status=stopped workdir=%s", args.workdir)
-        print(f"crawl stopped early; progress checkpointed in {args.workdir}")
+        print(f"crawl stopped early; progress kept in {args.workdir}")
         return EXIT_OK
     logger.info(
         "stage=crawl status=done dataset=%s elapsed=%.2fs", path, time.monotonic() - started
@@ -279,7 +279,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     crawl = subs.add_parser("crawl", parents=[common], help="crawl a marketplace endpoint to a dataset file")
     crawl.add_argument("--endpoint", help="API base URL (PIPELINE_ENDPOINT overrides)")
-    crawl.add_argument("--workdir", default="crawl-workdir", help="checkpoint/workspace directory")
+    crawl.add_argument("--workdir", default="crawl-workdir", help="crawl state directory; rerun with it to resume")
     crawl.add_argument("--out", default=None, help="dataset path (default <workdir>/dataset.json)")
     crawl.add_argument("--collections", type=int, default=50, help="how many top-volume collections")
     crawl.add_argument("--token-page-size", type=int, default=50)

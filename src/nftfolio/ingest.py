@@ -13,13 +13,13 @@ before giving up on the listing (DONE_INTERCEPTED).  A 403 rotates to the
 next proxy identity and retries once.  None of these fail the crawl as a
 whole; fetch failures mark the token failed and move on.
 
-Progress is durable at token granularity: every completed token appends
-its full cleaned series to an append-only record store, and a resumed
-crawl skips exactly the tokens whose series the store holds.  Partial
-histories are never persisted, so an interrupted crawl, even a killed one,
-resumes to a byte-identical dataset.  The checkpoint file is a summary
-(completed collections, completed and failed tokens) written once per
-collection, on a token failure and when a stop is taken.
+Progress is durable at token granularity, and the append-only record
+store is its only record: every enumerated collection appends its token
+order, and every completed token its full cleaned series.  A resumed
+crawl skips exactly the tokens whose series the store holds, and the
+collections whose order it holds with a series for every token.
+Partial histories are never persisted, so an interrupted crawl, even a
+killed one, resumes to a byte-identical dataset.
 
 The limiter's spacing also holds across consecutive crawls: a crawl
 returns only once its next start slot has come, so a crawl started right
@@ -44,7 +44,6 @@ import requests
 from . import extract
 from .model import (
     CollectionRef,
-    CrawlCheckpoint,
     Dataset,
     PipelineError,
     PriceSeries,
@@ -99,7 +98,6 @@ class FetchStatusError(Exception):
 
 
 class PageState(Enum):
-    FETCHING = "FETCHING"
     RETRY_AFTER_SCROLL = "RETRY_AFTER_SCROLL"
     DONE_TIMEOUT = "DONE_TIMEOUT"
     DONE_STALE = "DONE_STALE"
@@ -500,23 +498,9 @@ def _atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: Path) -> CrawlCheckpoint:
-    if not path.exists():
-        return CrawlCheckpoint()
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"checkpoint {path}: not valid JSON ({exc})") from exc
-    return CrawlCheckpoint.from_json_obj(obj)
-
-
-def save_checkpoint(checkpoint: CrawlCheckpoint, path: Path) -> None:
-    _atomic_write_text(path, json.dumps(checkpoint.to_json_obj(), sort_keys=True, indent=2) + "\n")
-
-
 def run_crawl(
     config: CrawlConfig,
-    checkpoint_dir: str | Path,
+    workdir: str | Path,
     out_path: str | Path | None = None,
     stop_after_tokens: int | None = None,
     stop_event: threading.Event | None = None,
@@ -524,22 +508,20 @@ def run_crawl(
     """Run (or resume) a full crawl; returns the dataset path, or None if
     stopped early by ``stop_after_tokens``/``stop_event``.
 
-    The checkpoint directory holds checkpoint.json, results.jsonl (the
-    append-only record store), collections.json (the discovery index) and,
-    with cookie persistence enabled, cookies.json.  A resume skips the
-    collections the checkpoint lists as complete and, within the others,
-    exactly the tokens whose series results.jsonl holds.  The checkpoint
-    is saved at the end of each collection, on a token failure and when a
-    stop is taken.  The final dataset is written atomically, and a resumed
-    crawl produces bytes identical to an uninterrupted run.
+    The workdir holds results.jsonl (the append-only record store and the
+    only record of progress), collections.json (the discovery index) and,
+    with cookie persistence enabled, cookies.json.  A collection is
+    complete exactly when results.jsonl holds its token order and a series
+    for every token in it; a resume skips complete collections without
+    enumerating them and, within the others, exactly the tokens whose
+    series results.jsonl holds.  The final dataset is written atomically,
+    and a resumed crawl produces bytes identical to an uninterrupted run.
 
     Before returning, the crawl waits for its limiter's next start slot,
     so a crawl started right afterwards keeps the configured spacing.
     """
-    workdir = Path(checkpoint_dir)
+    workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    checkpoint_path = workdir / "checkpoint.json"
-    checkpoint = load_checkpoint(checkpoint_path)
     store = _ResultStore(workdir / "results.jsonl")
     limiter = RateLimiter(
         config.qps_limit, config.download_delay_seconds, config.max_concurrent_per_host
@@ -564,13 +546,12 @@ def run_crawl(
                 stopped = True
                 break
             series_name = ref.collection_name
-            if ref.collection_id in checkpoint.completed_collections:
+            order = store.get_order(series_name)
+            if order is not None and all(store.has_series(series_name, t) for t in order):
                 continue
             result = enumerate_tokens(client, config, ref)
             store.append_order(series_name, [t.token for t in result.tokens])
-            stored = {t.token for t in result.tokens if store.has_series(series_name, t.token)}
-            checkpoint.completed_tokens.update((series_name, tok) for tok in stored)
-            pending = [t for t in result.tokens if t.token not in stored]
+            pending = [t for t in result.tokens if not store.has_series(series_name, t.token)]
             failures = 0
             skipped = 0
             worker_stop = threading.Event()
@@ -597,18 +578,12 @@ def run_crawl(
                             skipped += 1
                             continue
                         if error is not None:
-                            checkpoint.failed_tokens.add((series_name, token_ref.token))
-                            checkpoint.in_progress = (token_ref.token, error.next_offset)
                             failures += 1
-                            save_checkpoint(checkpoint, checkpoint_path)
                             logger.warning("stage=fetch token=%s status=failed", token_ref.token)
                             continue
                         store.append_series(
                             series_name, token_ref.token, list(series.timestamps), list(series.prices)
                         )
-                        checkpoint.completed_tokens.add((series_name, token_ref.token))
-                        checkpoint.failed_tokens.discard((series_name, token_ref.token))
-                        checkpoint.in_progress = None
                         completed_this_run += 1
                     if should_stop() and not worker_stop.is_set():
                         worker_stop.set()
@@ -617,16 +592,12 @@ def run_crawl(
             if worker_stop.is_set() or skipped:
                 stopped = True
                 break
-            if failures == 0:
-                checkpoint.completed_collections.add(ref.collection_id)
-            save_checkpoint(checkpoint, checkpoint_path)
             logger.info(
                 "stage=collection collection=%s tokens=%d failures=%d",
                 ref.collection_id, len(result.tokens), failures,
             )
 
         if stopped:
-            save_checkpoint(checkpoint, checkpoint_path)
             logger.info("stage=crawl status=stopped completed_tokens=%d", completed_this_run)
             return None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,8 @@ class PipelineError(Exception):
 
 
 class SchemaError(PipelineError):
-    """A dataset, index or checkpoint file does not match its schema."""
+    """A dataset, index, fixture, result-store or other input file does not
+    match its schema."""
 
 
 @dataclass(frozen=True)
@@ -157,51 +158,6 @@ class PortfolioAllocation:
             raise ValueError(f"negative weight {min(self.weights)!r} below -1e-12")
         if not math.isfinite(self.sharpe):
             raise ValueError(f"sharpe must be finite: {self.sharpe!r}")
-
-
-@dataclass
-class CrawlCheckpoint:
-    """Durable crawl progress: which collections and tokens are done.
-
-    ``in_progress`` records the token whose fetch was cut short and the
-    next page offset it would have requested (always a multiple of the
-    activity page size).  Partial histories are never persisted; a token
-    is either absent or complete.
-    """
-
-    completed_collections: set[str] = field(default_factory=set)
-    completed_tokens: set[tuple[str, str]] = field(default_factory=set)
-    failed_tokens: set[tuple[str, str]] = field(default_factory=set)
-    in_progress: tuple[str, int] | None = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "completed_collections": sorted(self.completed_collections),
-            "completed_tokens": [list(pair) for pair in sorted(self.completed_tokens)],
-            "failed_tokens": [list(pair) for pair in sorted(self.failed_tokens)],
-            "in_progress": (
-                None
-                if self.in_progress is None
-                else {"token": self.in_progress[0], "next_offset": self.in_progress[1]}
-            ),
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CrawlCheckpoint":
-        if not isinstance(obj, dict):
-            raise SchemaError("checkpoint file: top level is not an object")
-        try:
-            progress = obj.get("in_progress")
-            return cls(
-                completed_collections=set(obj.get("completed_collections", [])),
-                completed_tokens={(s, t) for s, t in obj.get("completed_tokens", [])},
-                failed_tokens={(s, t) for s, t in obj.get("failed_tokens", [])},
-                in_progress=(
-                    None if progress is None else (progress["token"], int(progress["next_offset"]))
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"checkpoint file: malformed field ({exc})") from exc
 
 
 Dataset = dict[str, list[PriceSeries]]

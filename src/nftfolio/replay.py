@@ -3,9 +3,10 @@
 A fixture (fully derived from a 64-bit seed) describes collections,
 token lists and per-token trade histories.  The server replays it over
 the same three endpoints the crawler consumes, keeps a synchronized log
-of every request it sees, and can inject faults (403, stalled response,
-dropped connection, empty body) at chosen occurrences of matching
-requests, which makes failure-path tests reproducible.
+of every request it sees, and can inject faults (a 403, 429 or 503
+status, stalled response, dropped connection, empty body) at chosen
+occurrences of matching requests, which makes failure-path tests
+reproducible.
 
 Response bodies are minified JSON because the extraction patterns expect
 the field layouts of the live API, e.g. ``"volume":<number>,`` with no
@@ -28,10 +29,17 @@ from urllib.parse import parse_qsl, urlsplit
 from .model import CollectionRef, SchemaError, TradeEvent
 
 HTTP_403 = "HTTP_403"
+HTTP_429 = "HTTP_429"
+HTTP_503 = "HTTP_503"
 TIMEOUT = "TIMEOUT"
 RESET = "RESET"
 EMPTY_BODY = "EMPTY_BODY"
-FAULTS = frozenset({HTTP_403, TIMEOUT, RESET, EMPTY_BODY})
+FAULTS = frozenset({HTTP_403, HTTP_429, HTTP_503, TIMEOUT, RESET, EMPTY_BODY})
+_STATUS_FAULTS = {
+    HTTP_403: (403, b"forbidden"),
+    HTTP_429: (429, b"too many requests"),
+    HTTP_503: (503, b"service unavailable"),
+}
 
 _ALNUM = "ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz123456789"
 _ADJECTIVES = ("Amber", "Cobalt", "Ivory", "Crimson", "Jade", "Onyx", "Saffron", "Violet")
@@ -257,8 +265,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
         )
         fault = replay._next_fault(self.path)
-        if fault == HTTP_403:
-            self._send(403, b"forbidden", "text/plain")
+        if fault in _STATUS_FAULTS:
+            status, body = _STATUS_FAULTS[fault]
+            self._send(status, body, "text/plain")
             return
         if fault == RESET:
             # Drop the connection without a response; clients observe it

@@ -1,12 +1,18 @@
 """Crawler tests against the replay server: pacing, retry state machine,
-pagination termination, checkpointed resume, and dataset determinism."""
+pagination termination, resume from the result store (after cooperative
+stops and hard kills), and dataset determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import nftfolio
 from conftest import fast_config
 from nftfolio.ingest import (
     CrawlConfig,
@@ -22,14 +28,11 @@ from nftfolio.ingest import (
     discover_collections,
     enumerate_tokens,
     fetch_trade_history,
-    load_checkpoint,
     run_crawl,
-    save_checkpoint,
 )
 from nftfolio.ingest import _ResultStore
 from nftfolio.model import (
     CollectionRef,
-    CrawlCheckpoint,
     PriceSeries,
     SchemaError,
     TokenRef,
@@ -40,6 +43,8 @@ from nftfolio.model import (
 from nftfolio.replay import (
     EMPTY_BODY,
     HTTP_403,
+    HTTP_429,
+    HTTP_503,
     RESET,
     TIMEOUT,
     FaultRule,
@@ -66,6 +71,16 @@ def sale(t, price):
 
 def requests_to(server, path):
     return [r for r in server.request_log() if r.path == path]
+
+
+def stored_series(workdir, series, tokens):
+    """The tokens among ``tokens`` whose series the workdir's result store
+    holds, i.e. the tokens a resume would skip."""
+    store = _ResultStore(Path(workdir) / "results.jsonl")
+    try:
+        return {tok for tok in tokens if store.has_series(series, tok)}
+    finally:
+        store.close()
 
 
 def expected_dataset(fixture, exclude=()):
@@ -320,6 +335,16 @@ class TestDiscoverCollections:
         with pytest.raises(CrawlError, match="connection dropped"):
             discover_collections(MarketClient(config), config)
 
+    @pytest.mark.parametrize("fault", [HTTP_429, HTTP_503])
+    def test_throttle_status_is_fatal_without_retry(self, server_factory, fault):
+        fx = generate_fixture(42)
+        fx.fault_schedule.append(FaultRule("/collections?", fault))
+        server = server_factory(fx)
+        config = fast_config(server.base_url)
+        with pytest.raises(CrawlError, match="discovery failed"):
+            discover_collections(MarketClient(config), config)
+        assert len(server.request_log()) == 1
+
 
 class TestEnumerateTokens:
     def collection_of(self, fx):
@@ -384,25 +409,32 @@ class TestEnumerateTokens:
         assert result.state is PageState.DONE_INTERCEPTED
         assert len(result.tokens) == 50
 
-    def test_429_backs_off_and_retries_once(self):
-        config = CrawlConfig(endpoint_base="http://x", download_delay_seconds=0.001)
-        collection = CollectionRef("Coll1", "S", 1.0, None)
-        client = ScriptedClient(
-            [FetchStatusError(429, "u"), '<a href="/token/Tok1A">Tok1A</a>']
-        )
-        result = enumerate_tokens(client, config, collection)
+    def test_429_backs_off_and_retries_once(self, server_factory):
+        fx = generate_fixture(5, n_collections=1, tokens_per_collection=4,
+                              trades_per_token_range=(0, 0))
+        fx.fault_schedule.append(FaultRule("page=0&", HTTP_429))
+        server = server_factory(fx)
+        config = fast_config(server.base_url, proxies=("proxy-a", "proxy-b"))
+        result = enumerate_tokens(MarketClient(config), config, self.collection_of(fx))
         assert result.state is PageState.DONE_EMPTY
-        assert [t.token for t in result.tokens] == ["Tok1A"]
-        assert len(client.calls) == 2
-        assert client.rotations == 0
+        assert [t.token for t in result.tokens] == fx.collections[0].tokens
+        cid = fx.collections[0].ref.collection_id
+        token_requests = requests_to(server, f"/collections/{cid}/tokens")
+        assert [int(r.query["page"]) for r in token_requests] == [0, 0, 1]
+        # backing off is not rotating: every request keeps the first identity
+        assert {r.proxy_identity for r in token_requests} == {"proxy-a"}
 
-    def test_second_429_intercepts_listing(self):
-        config = CrawlConfig(endpoint_base="http://x", download_delay_seconds=0.001)
-        collection = CollectionRef("Coll1", "S", 1.0, None)
-        client = ScriptedClient([FetchStatusError(429, "u"), FetchStatusError(503, "u")])
-        result = enumerate_tokens(client, config, collection)
+    def test_second_429_intercepts_listing(self, server_factory):
+        fx = generate_fixture(5, n_collections=1, tokens_per_collection=4,
+                              trades_per_token_range=(0, 0))
+        fx.fault_schedule.append(FaultRule("page=0&", HTTP_429, occurrence=0))
+        fx.fault_schedule.append(FaultRule("page=0&", HTTP_503, occurrence=1))
+        server = server_factory(fx)
+        config = fast_config(server.base_url)
+        result = enumerate_tokens(MarketClient(config), config, self.collection_of(fx))
         assert result.state is PageState.DONE_INTERCEPTED
         assert result.tokens == []
+        assert len(server.request_log()) == 2
 
     def test_unexpected_status_is_fatal(self):
         config = CrawlConfig(endpoint_base="http://x")
@@ -487,9 +519,10 @@ class TestFetchTradeHistory:
         assert series.timestamps == (10, 20)
         assert series.prices == (2.0, 3.0)
 
-    def test_one_reset_retries_then_succeeds(self, server_factory):
+    @pytest.mark.parametrize("fault", [RESET, HTTP_429, HTTP_503])
+    def test_one_reset_retries_then_succeeds(self, server_factory, fault):
         fx = manual_fixture({"FlakyTok1": [sale(10 * i + 5, 1.0 + i) for i in range(6)]})
-        fx.fault_schedule.append(FaultRule("offset=0", RESET))
+        fx.fault_schedule.append(FaultRule("offset=0", fault))
         server = server_factory(fx)
         config = fast_config(server.base_url)
         series = fetch_trade_history(MarketClient(config), config, self.token_ref(fx))
@@ -529,29 +562,6 @@ class TestFetchTradeHistory:
 
 
 class TestPersistence:
-    def test_checkpoint_round_trip(self, tmp_path):
-        checkpoint = CrawlCheckpoint(
-            completed_collections={"CollA"},
-            completed_tokens={("S", "tok1"), ("S", "tok2")},
-            failed_tokens={("S", "tok3")},
-            in_progress=("tok3", 1500),
-        )
-        path = tmp_path / "checkpoint.json"
-        save_checkpoint(checkpoint, path)
-        assert not path.with_name("checkpoint.json.tmp").exists()
-        back = load_checkpoint(path)
-        assert back == checkpoint
-
-    def test_missing_checkpoint_is_empty(self, tmp_path):
-        checkpoint = load_checkpoint(tmp_path / "absent.json")
-        assert checkpoint == CrawlCheckpoint()
-
-    def test_corrupt_checkpoint_raises_schema_error(self, tmp_path):
-        path = tmp_path / "checkpoint.json"
-        path.write_text("{nope")
-        with pytest.raises(SchemaError, match="not valid JSON"):
-            load_checkpoint(path)
-
     def test_result_store_keeps_last_append(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = _ResultStore(path)
@@ -594,11 +604,10 @@ class TestRunCrawl:
         dataset = load_dataset(out)
         assert validate_dataset(dataset) == []
         assert dataset == expected_dataset(fx)
-        checkpoint = load_checkpoint(tmp_path / "work" / "checkpoint.json")
-        assert checkpoint.completed_collections == {
-            c.ref.collection_id for c in fx.collections
-        }
+        for c in fx.collections:
+            assert stored_series(tmp_path / "work", c.ref.collection_name, c.tokens) == set(c.tokens)
         assert (tmp_path / "work" / "collections.json").exists()
+        assert not (tmp_path / "work" / "checkpoint.json").exists()
 
     def test_two_runs_byte_identical(self, server_factory, tmp_path):
         fx = generate_fixture(42)
@@ -618,10 +627,13 @@ class TestRunCrawl:
         config = fast_config(server.base_url, max_concurrent_per_host=1)
         partial = run_crawl(config, tmp_path / "resumed", stop_after_tokens=2)
         assert partial is None
-        mid = load_checkpoint(tmp_path / "resumed" / "checkpoint.json")
+        stored = sum(
+            len(stored_series(tmp_path / "resumed", c.ref.collection_name, c.tokens))
+            for c in fx.collections
+        )
         # the budget may overshoot by futures already in flight, but the
         # stop lands within the first collection (4 tokens)
-        assert 2 <= len(mid.completed_tokens) <= 4
+        assert 2 <= stored <= 4
 
         resumed = run_crawl(config, tmp_path / "resumed")
         clean = run_crawl(config, tmp_path / "fresh")
@@ -644,6 +656,40 @@ class TestRunCrawl:
         assert resumed.read_bytes() == clean.read_bytes()
         for line in store_path.read_text().splitlines():
             json.loads(line)
+
+    def test_killed_crawl_resumes_byte_identical(self, server_factory, tmp_path):
+        # One collection of three tokens is 9 requests: discovery, two
+        # listing pages and two activity pages per token.  For each k a
+        # crawl process is killed once the server has logged its k-th
+        # request; the 0.05 s start-to-start gap leaves the poll time to
+        # land the kill before request k + 1.
+        fx = generate_fixture(3, n_collections=1, tokens_per_collection=3)
+        server = server_factory(fx)
+        config = fast_config(server.base_url, max_concurrent_per_host=1)
+        clean = run_crawl(config, tmp_path / "fresh").read_bytes()
+        total = len(server.request_log())
+        assert total == 9
+        env = dict(os.environ, PYTHONPATH=str(Path(nftfolio.__file__).parents[1]))
+        for k in range(1, total + 1):
+            workdir = tmp_path / f"killed-{k}"
+            base = len(server.request_log())
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "nftfolio", "crawl", "--endpoint", server.base_url,
+                 "--workdir", str(workdir), "--qps", "1000", "--delay", "0.05",
+                 "--concurrency", "1"],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            try:
+                deadline = time.monotonic() + 30
+                while len(server.request_log()) - base < k:
+                    assert proc.poll() is None, f"crawl exited before request {k}"
+                    assert time.monotonic() < deadline, f"no request {k} within 30 s"
+                    time.sleep(0.001)
+            finally:
+                proc.kill()  # SIGKILL
+                proc.wait(timeout=30)
+            resumed = run_crawl(config, workdir)
+            assert resumed.read_bytes() == clean, f"kill after request {k}"
 
     def test_pacing_holds_across_consecutive_crawls(self, server_factory, tmp_path):
         fx = generate_fixture(7, n_collections=1, tokens_per_collection=3)
@@ -688,9 +734,7 @@ class TestRunCrawl:
         dataset = load_dataset(out)
         assert dataset == expected_dataset(fx, exclude={bad})
         name = fx.collections[0].ref.collection_name
-        checkpoint = load_checkpoint(tmp_path / "work" / "checkpoint.json")
-        assert checkpoint.failed_tokens == {(name, bad)}
-        assert checkpoint.completed_collections == set()
+        assert stored_series(tmp_path / "work", name, [bad]) == set()
 
     def test_empty_body_mid_history_fails_token_until_refetched(self, server_factory, tmp_path):
         # A 200 with an empty body at offset 10 of a 20-sale history is a
@@ -706,9 +750,7 @@ class TestRunCrawl:
         work = tmp_path / "work"
         out = run_crawl(config, work)
         assert load_dataset(out) == expected_dataset(fx, exclude={"GapTok1"})
-        checkpoint = load_checkpoint(work / "checkpoint.json")
-        assert checkpoint.failed_tokens == {("ManualSeries", "GapTok1")}
-        assert checkpoint.completed_collections == set()
+        assert stored_series(work, "ManualSeries", ["GapTok1", "FullTok1"]) == {"FullTok1"}
 
         healed = load_dataset(run_crawl(config, work))
         assert healed == expected_dataset(fx)
@@ -731,8 +773,8 @@ class TestRunCrawl:
                            tmp_path / "work")
         clean = run_crawl(fast_config(second_server.base_url), tmp_path / "fresh")
         assert healed.read_bytes() == clean.read_bytes()
-        checkpoint = load_checkpoint(tmp_path / "work" / "checkpoint.json")
-        assert checkpoint.failed_tokens == set()
+        name = fx.collections[0].ref.collection_name
+        assert stored_series(tmp_path / "work", name, [bad]) == {bad}
         # the recovery run fetched activities only for the failed token
         bad_fetches = [
             r for r in second_server.request_log() if r.path.startswith("/tokens/")

@@ -8,7 +8,6 @@ import pytest
 from conftest import random_series
 from nftfolio.model import (
     CollectionRef,
-    CrawlCheckpoint,
     PortfolioAllocation,
     PriceSeries,
     SchemaError,
@@ -60,16 +59,6 @@ class TestTypes:
             PortfolioAllocation(assets, (1.5, -0.5), sharpe=1.0)
         alloc = PortfolioAllocation(assets, (0.25, 0.75), sharpe=1.0)
         assert alloc.weights == (0.25, 0.75)
-
-    def test_checkpoint_round_trip(self):
-        cp = CrawlCheckpoint(
-            completed_collections={"c1"},
-            completed_tokens={("S", "tokA")},
-            failed_tokens={("S", "tokB")},
-            in_progress=("tokB", 1500),
-        )
-        again = CrawlCheckpoint.from_json_obj(json.loads(json.dumps(cp.to_json_obj())))
-        assert again == cp
 
 
 class TestDatasetSerialization:
