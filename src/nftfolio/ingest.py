@@ -6,18 +6,20 @@ max(download_delay_seconds, 1/qps_limit) apart with a hard cap on in-flight
 requests, which keeps the long-run rate at or below the configured QPS no
 matter how many workers fetch concurrently.
 
-Failures map onto a small page state machine.  A request timeout ends the
-current listing (DONE_TIMEOUT), a dropped connection likewise (DONE_STALE),
-and throttling responses (429/503) earn exactly one backoff-and-retry
-before giving up on the listing (DONE_INTERCEPTED).  A 403 rotates to the
-next proxy identity and retries once.  None of these fail the crawl as a
-whole; fetch failures mark the token failed and move on.
+Failures follow one table, ``_RETRY_POLICY``: per call site it lists the
+outcomes whose first occurrence earns one more try, after rotating the
+proxy identity, waiting the download delay, or neither.  Any other
+outcome, and every second failure, goes back to the site, which maps it
+to a CrawlError (discovery), a listing end state (a token-listing page)
+or a failed token (an activities page).  A listing ends on a page with a
+body but no continuation marker; a 0-byte 200 there is a dropped one.
 
 Progress is durable at token granularity, and the append-only record
 store is its only record: every enumerated collection appends its token
-order, and every completed token its full cleaned series.  A resumed
-crawl skips exactly the tokens whose series the store holds, and the
-collections whose order it holds with a series for every token.
+order and the listing's end state, and every completed token its full
+cleaned series.  A resumed crawl skips exactly the tokens whose series
+the store holds, and the collections whose latest order ended DONE_EMPTY
+with a series for every token; it enumerates every other one again.
 Partial histories are never persisted, so an interrupted crawl, even a
 killed one, resumes to a byte-identical dataset.
 
@@ -83,22 +85,25 @@ class CrawlStopped(Exception):
     """Internal: cooperative stop requested mid-fetch."""
 
 
-class FetchTimeout(Exception):
+class FetchError(Exception):
+    """A request that brought no usable response."""
+
+
+class FetchTimeout(FetchError):
     pass
 
 
-class FetchReset(Exception):
+class FetchReset(FetchError):
     pass
 
 
-class FetchStatusError(Exception):
+class FetchStatusError(FetchError):
     def __init__(self, status: int, url: str):
         super().__init__(f"HTTP {status} for {url}")
         self.status = status
 
 
 class PageState(Enum):
-    RETRY_AFTER_SCROLL = "RETRY_AFTER_SCROLL"
     DONE_TIMEOUT = "DONE_TIMEOUT"
     DONE_STALE = "DONE_STALE"
     DONE_INTERCEPTED = "DONE_INTERCEPTED"
@@ -224,9 +229,9 @@ class MarketClient:
                     url, params=params, timeout=self.config.request_timeout_seconds
                 )
             except requests.Timeout as exc:
-                raise FetchTimeout(url) from exc
+                raise FetchTimeout(f"timed out: {url}") from exc
             except requests.ConnectionError as exc:
-                raise FetchReset(url) from exc
+                raise FetchReset(f"connection dropped: {url}") from exc
         if response.status_code != 200:
             raise FetchStatusError(response.status_code, url)
         return response.text
@@ -246,38 +251,52 @@ class MarketClient:
         self._session.cookies.update(jar)
 
 
+_ROTATE, _WAIT, _RETRY = "rotate proxy", "wait delay", "retry"
+
+# Per call site, the outcomes of a request's first failure that send it once
+# more, and what runs before that.  An outcome is a status code or a fetch
+# exception type; one the site does not list, and every second failure, is
+# raised back to the site.
+_RETRY_POLICY: dict[str, dict[int | type[FetchError], str]] = {
+    "discover": {403: _ROTATE, FetchTimeout: _RETRY},
+    "listing": {403: _ROTATE, 429: _WAIT, 503: _WAIT},
+    "activities": {
+        403: _ROTATE, 429: _WAIT, 503: _WAIT, FetchTimeout: _RETRY, FetchReset: _RETRY,
+    },
+}
+
+
+def _get(client: MarketClient, config: CrawlConfig, site: str, path: str, params: dict) -> str:
+    """``client.get`` with the ``_RETRY_POLICY`` of ``site`` applied."""
+    try:
+        return client.get(path, params)
+    except FetchError as exc:
+        outcome = exc.status if isinstance(exc, FetchStatusError) else type(exc)
+        action = _RETRY_POLICY[site].get(outcome)
+        if action is None:
+            raise
+    if action == _ROTATE:
+        client.rotate_proxy()
+    elif action == _WAIT:
+        time.sleep(config.download_delay_seconds)
+    return client.get(path, params)
+
+
 def discover_collections(
     client: MarketClient, config: CrawlConfig, index_path: str | Path | None = None
 ) -> list[CollectionRef]:
     """Fetch the volume-ranked collection overview and extract refs.
-
-    A 403 rotates the proxy and retries once; a timeout retries once;
-    anything else (or a second failure) is a CrawlError.
-    """
+    A failure that ``_RETRY_POLICY`` does not retry is a CrawlError."""
     params = {
         "sort_by": "volume",
         "offset": 0,
         "limit": config.collection_limit,
         "sort_order": "desc",
     }
-    retried = False
-    while True:
-        try:
-            body = client.get("/collections", params)
-            break
-        except FetchStatusError as exc:
-            if exc.status == 403 and not retried:
-                client.rotate_proxy()
-                retried = True
-                continue
-            raise CrawlError(f"collection discovery failed: {exc}") from exc
-        except FetchTimeout as exc:
-            if not retried:
-                retried = True
-                continue
-            raise CrawlError("collection discovery timed out twice") from exc
-        except FetchReset as exc:
-            raise CrawlError(f"collection discovery connection dropped: {exc}") from exc
+    try:
+        body = _get(client, config, "discover", "/collections", params)
+    except FetchError as exc:
+        raise CrawlError(f"collection discovery failed: {exc}") from exc
     refs = extract.parse_collection_overview(body)
     if index_path is not None:
         save_collection_index(refs, index_path)
@@ -291,56 +310,38 @@ class EnumerationResult:
     state: PageState
 
 
-def _fetch_token_page(
-    client: MarketClient, config: CrawlConfig, collection_id: str, page: int
-) -> tuple[PageState | None, str | None]:
-    """One token-listing page with the single-retry state machine; returns
-    (terminal state, None) or (None, body)."""
-    path = f"/collections/{collection_id}/tokens"
-    params = {"page": page, "limit": config.page_size_tokens}
-    try:
-        return None, client.get(path, params)
-    except FetchTimeout:
-        return PageState.DONE_TIMEOUT, None
-    except FetchReset:
-        return PageState.DONE_STALE, None
-    except FetchStatusError as exc:
-        if exc.status in (429, 503):
-            logger.info(
-                "stage=enumerate collection=%s page=%d state=%s",
-                collection_id, page, PageState.RETRY_AFTER_SCROLL.value,
-            )
-            time.sleep(config.download_delay_seconds)
-        elif exc.status == 403:
-            client.rotate_proxy()
-        else:
-            raise CrawlError(f"token page {page} of {collection_id}: {exc}") from exc
-    try:
-        return None, client.get(path, params)
-    except FetchTimeout:
-        return PageState.DONE_TIMEOUT, None
-    except FetchReset:
-        return PageState.DONE_STALE, None
-    except FetchStatusError:
-        return PageState.DONE_INTERCEPTED, None
-
-
 def enumerate_tokens(
     client: MarketClient, config: CrawlConfig, collection: CollectionRef
 ) -> EnumerationResult:
     """Walk token-listing pages 0, 1, ... until a terminal page state.
 
-    A page without the continuation marker (including an empty page) ends
-    the listing with DONE_EMPTY after its tokens are consumed.  Duplicate
-    links keep their first appearance.
+    A page with a body but without the continuation marker ends the
+    listing with DONE_EMPTY after its tokens are consumed; a 0-byte body
+    counts as a dropped connection.  Duplicate links keep their first
+    appearance.
     """
+    path = f"/collections/{collection.collection_id}/tokens"
     ordered: dict[str, None] = {}
     page = 0
     while True:
-        state, body = _fetch_token_page(client, config, collection.collection_id, page)
-        if state is not None:
+        params = {"page": page, "limit": config.page_size_tokens}
+        try:
+            body = _get(client, config, "listing", path, params)
+        except FetchTimeout:
+            state = PageState.DONE_TIMEOUT
             break
-        assert body is not None
+        except FetchReset:
+            state = PageState.DONE_STALE
+            break
+        except FetchStatusError as exc:
+            # a status the policy retries gets here only on a second failure
+            if exc.status not in _RETRY_POLICY["listing"]:
+                raise CrawlError(f"token page {page} of {collection.collection_id}: {exc}") from exc
+            state = PageState.DONE_INTERCEPTED
+            break
+        if not body:
+            state = PageState.DONE_STALE
+            break
         for tok in extract.parse_token_links(body):
             ordered.setdefault(tok)
         if _HAS_NEXT_MARKER not in body:
@@ -355,30 +356,6 @@ def enumerate_tokens(
         tokens=[TokenRef(tok, collection.collection_name) for tok in ordered],
         state=state,
     )
-
-
-def _fetch_activities_page(
-    client: MarketClient, config: CrawlConfig, token: str, offset: int
-) -> str:
-    """One activities page with a single retry; a second failure is a
-    TokenFetchError (the caller discards the partial series)."""
-    path = f"/tokens/{token}/activities"
-    params = {"offset": offset, "limit": config.page_size_activities}
-    try:
-        return client.get(path, params)
-    except FetchStatusError as exc:
-        if exc.status == 403:
-            client.rotate_proxy()
-        elif exc.status in (429, 503):
-            time.sleep(config.download_delay_seconds)
-        else:
-            raise TokenFetchError(token, offset, str(exc)) from exc
-    except (FetchTimeout, FetchReset):
-        pass
-    try:
-        return client.get(path, params)
-    except (FetchTimeout, FetchReset, FetchStatusError) as exc:
-        raise TokenFetchError(token, offset, str(exc)) from exc
 
 
 def fetch_trade_history(
@@ -397,7 +374,11 @@ def fetch_trade_history(
     while True:
         if stop_event is not None and stop_event.is_set():
             raise CrawlStopped(token.token)
-        body = _fetch_activities_page(client, config, token.token, offset)
+        params = {"offset": offset, "limit": config.page_size_activities}
+        try:
+            body = _get(client, config, "activities", f"/tokens/{token.token}/activities", params)
+        except FetchError as exc:
+            raise TokenFetchError(token.token, offset, str(exc)) from exc
         pages += 1
         try:
             events = extract.parse_activity_page(body)
@@ -424,16 +405,18 @@ class _ResultStore:
 
     Records are keyed by (kind, series, token); re-appends overwrite on
     load.  The store is the record of crawl progress: a token counts as
-    done exactly when its series record is here.  Every record ends with a
-    newline, so an unterminated final line is an append that was cut
-    short (a killed process, a full disk); it is dropped and truncated
-    away on load, which costs one refetch.  Any other malformed line is a
-    SchemaError.
+    done exactly when its series record is here, a collection when its
+    latest order record ended DONE_EMPTY (one without an end state, from
+    an older workdir, did not) and every token in it is done.  Every
+    record ends with a newline, so an unterminated final line is an
+    append that was cut short (a killed process, a full disk); it is
+    dropped and truncated away on load, which costs one refetch.  Any
+    other malformed line is a SchemaError.
     """
 
     def __init__(self, path: Path):
         self._path = path
-        self._orders: dict[str, list[str]] = {}
+        self._orders: dict[str, tuple[list[str], str | None]] = {}
         self._series: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
         if path.exists():
             committed = 0
@@ -449,7 +432,7 @@ class _ResultStore:
                     try:
                         rec = json.loads(raw)
                         if rec["kind"] == "order":
-                            self._orders[rec["series"]] = list(rec["tokens"])
+                            self._orders[rec["series"]] = (list(rec["tokens"]), rec.get("end"))
                         elif rec["kind"] == "series":
                             self._series[(rec["series"], rec["token"])] = (
                                 [int(t) for t in rec["history"]],
@@ -465,9 +448,9 @@ class _ResultStore:
                 os.truncate(path, committed)
         self._handle = path.open("a", encoding="utf-8")
 
-    def append_order(self, series: str, tokens: list[str]) -> None:
-        self._orders[series] = list(tokens)
-        self._write({"kind": "order", "series": series, "tokens": tokens})
+    def append_order(self, series: str, tokens: list[str], end: PageState) -> None:
+        self._orders[series] = (list(tokens), end.value)
+        self._write({"kind": "order", "series": series, "tokens": tokens, "end": end.value})
 
     def append_series(self, series: str, token: str, history: list[int], price: list[float]) -> None:
         self._series[(series, token)] = (history, price)
@@ -476,7 +459,12 @@ class _ResultStore:
         )
 
     def get_order(self, series: str) -> list[str] | None:
-        return self._orders.get(series)
+        entry = self._orders.get(series)
+        return None if entry is None else entry[0]
+
+    def is_complete(self, series: str) -> bool:
+        tokens, end = self._orders.get(series, ([], None))
+        return end == PageState.DONE_EMPTY.value and all(self.has_series(series, t) for t in tokens)
 
     def get_series(self, series: str, token: str) -> tuple[list[int], list[float]] | None:
         return self._series.get((series, token))
@@ -511,11 +499,14 @@ def run_crawl(
     The workdir holds results.jsonl (the append-only record store and the
     only record of progress), collections.json (the discovery index) and,
     with cookie persistence enabled, cookies.json.  A collection is
-    complete exactly when results.jsonl holds its token order and a series
-    for every token in it; a resume skips complete collections without
-    enumerating them and, within the others, exactly the tokens whose
-    series results.jsonl holds.  The final dataset is written atomically,
-    and a resumed crawl produces bytes identical to an uninterrupted run.
+    complete exactly when its latest token order there ended DONE_EMPTY
+    and a series for every token in it is there too; a resume skips
+    complete collections without enumerating them, enumerates the others
+    again and, within them, skips exactly the tokens whose series
+    results.jsonl holds.  A listing cut short by a fault still yields a
+    dataset of the tokens found, and the next run completes it.  The
+    final dataset is written atomically, and a resumed crawl produces
+    bytes identical to an uninterrupted run.
 
     Before returning, the crawl waits for its limiter's next start slot,
     so a crawl started right afterwards keeps the configured spacing.
@@ -546,11 +537,10 @@ def run_crawl(
                 stopped = True
                 break
             series_name = ref.collection_name
-            order = store.get_order(series_name)
-            if order is not None and all(store.has_series(series_name, t) for t in order):
+            if store.is_complete(series_name):
                 continue
             result = enumerate_tokens(client, config, ref)
-            store.append_order(series_name, [t.token for t in result.tokens])
+            store.append_order(series_name, [t.token for t in result.tokens], result.state)
             pending = [t for t in result.tokens if not store.has_series(series_name, t.token)]
             failures = 0
             skipped = 0

@@ -19,6 +19,7 @@ import json
 import math
 import random
 import re
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -228,6 +229,12 @@ class _ReplayHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
+    def handle_error(self, request, client_address) -> None:
+        # A client that went away mid-connection is routine (a killed
+        # crawl, say); anything else still gets the default traceback.
+        if not isinstance(sys.exc_info()[1], (ConnectionResetError, BrokenPipeError)):
+            super().handle_error(request, client_address)
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -327,10 +334,10 @@ class _Handler(BaseHTTPRequestHandler):
         limit = int(query.get("limit", 50))
         chunk = coll.tokens[page * limit : (page + 1) * limit]
         lines = [f'<a href="/token/{tok}">{tok}</a>' for tok in chunk]
-        if chunk:
-            # Optimistic continuation marker: the live site only reveals the
-            # end of the listing by serving an empty page.
-            lines.append('{"has_next":true}')
+        # Optimistic continuation marker: the live site only reveals the
+        # end of the listing by serving a page without token links.  That
+        # page still has a body, so a dropped body never reads as the end.
+        lines.append('{"has_next":true}' if chunk else '{"has_next":false}')
         self._send(200, "\n".join(lines).encode("utf-8"), "text/html")
 
     def _serve_activities(self, replay: "ReplayServer", token: str, query: dict[str, str]) -> None:
@@ -413,8 +420,3 @@ class ReplayServer:
                         hit = rule.fault
                     self._fault_counts[i] += 1
             return hit
-
-
-def serve(fixture: Fixture, port: int = 0, fault_timeout_seconds: float = 30.0) -> ReplayServer:
-    """Start a replay server; the caller is responsible for ``stop()``."""
-    return ReplayServer(fixture, port=port, fault_timeout_seconds=fault_timeout_seconds).start()

@@ -436,6 +436,17 @@ class TestEnumerateTokens:
         assert result.tokens == []
         assert len(server.request_log()) == 2
 
+    def test_empty_body_listing_page_is_stale(self, server_factory):
+        # a 0-byte 200 is a dropped body, not the end of the listing
+        fx = generate_fixture(42, n_collections=1, tokens_per_collection=6)
+        fx.fault_schedule.append(FaultRule("tokens?page=1&", EMPTY_BODY))
+        server = server_factory(fx)
+        config = fast_config(server.base_url, page_size_tokens=2)
+        result = enumerate_tokens(MarketClient(config), config, self.collection_of(fx))
+        assert result.state is PageState.DONE_STALE
+        assert [t.token for t in result.tokens] == fx.collections[0].tokens[:2]
+        assert len(server.request_log()) == 2
+
     def test_unexpected_status_is_fatal(self):
         config = CrawlConfig(endpoint_base="http://x")
         collection = CollectionRef("Coll1", "S", 1.0, None)
@@ -565,7 +576,7 @@ class TestPersistence:
     def test_result_store_keeps_last_append(self, tmp_path):
         path = tmp_path / "results.jsonl"
         store = _ResultStore(path)
-        store.append_order("S", ["a1", "b2"])
+        store.append_order("S", ["a1", "b2"], PageState.DONE_EMPTY)
         store.append_series("S", "a1", [10, 20], [1.0, 2.0])
         store.append_series("S", "a1", [10, 20, 30], [1.0, 2.0, 3.0])
         store.close()
@@ -657,22 +668,32 @@ class TestRunCrawl:
         for line in store_path.read_text().splitlines():
             json.loads(line)
 
-    def test_killed_crawl_resumes_byte_identical(self, server_factory, tmp_path):
+    @pytest.mark.parametrize("schedule", [
+        [],
+        [FaultRule("tokens?page=0", HTTP_403), FaultRule("activities?offset=0", RESET, 1)],
+    ], ids=["clean", "faults"])
+    def test_killed_crawl_resumes_byte_identical(self, server_factory, tmp_path, schedule):
         # One collection of three tokens is 9 requests: discovery, two
-        # listing pages and two activity pages per token.  For each k a
-        # crawl process is killed once the server has logged its k-th
-        # request; the 0.05 s start-to-start gap leaves the poll time to
-        # land the kill before request k + 1.
+        # listing pages and two activity pages per token, plus one retry per
+        # recoverable fault.  For each k a crawl process is killed once its
+        # server has logged its k-th request, which may fall between a
+        # failure and its retry; the 0.05 s start-to-start gap leaves the
+        # poll time to land the kill before request k + 1.  Each k gets a
+        # fresh server, since the fault counters live in the server.
+        clean_server = server_factory(generate_fixture(3, n_collections=1, tokens_per_collection=3))
+        clean = run_crawl(fast_config(clean_server.base_url), tmp_path / "clean").read_bytes()
         fx = generate_fixture(3, n_collections=1, tokens_per_collection=3)
+        fx.fault_schedule.extend(schedule)
         server = server_factory(fx)
         config = fast_config(server.base_url, max_concurrent_per_host=1)
-        clean = run_crawl(config, tmp_path / "fresh").read_bytes()
+        assert run_crawl(config, tmp_path / "fresh").read_bytes() == clean
         total = len(server.request_log())
-        assert total == 9
+        assert total == 9 + len(schedule)
         env = dict(os.environ, PYTHONPATH=str(Path(nftfolio.__file__).parents[1]))
         for k in range(1, total + 1):
             workdir = tmp_path / f"killed-{k}"
-            base = len(server.request_log())
+            server = server_factory(fx)
+            config = fast_config(server.base_url, max_concurrent_per_host=1)
             proc = subprocess.Popen(
                 [sys.executable, "-m", "nftfolio", "crawl", "--endpoint", server.base_url,
                  "--workdir", str(workdir), "--qps", "1000", "--delay", "0.05",
@@ -681,7 +702,7 @@ class TestRunCrawl:
             )
             try:
                 deadline = time.monotonic() + 30
-                while len(server.request_log()) - base < k:
+                while len(server.request_log()) < k:
                     assert proc.poll() is None, f"crawl exited before request {k}"
                     assert time.monotonic() < deadline, f"no request {k} within 30 s"
                     time.sleep(0.001)
@@ -711,6 +732,57 @@ class TestRunCrawl:
         after = len(server.request_log())
         assert after - before == 1  # collection discovery only
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("faults", [
+        [RESET], [TIMEOUT], [HTTP_429, HTTP_503], [HTTP_403, HTTP_403], [EMPTY_BODY],
+    ], ids=["reset", "timeout", "429-503", "403-403", "empty-body"])
+    def test_truncated_listing_heals_on_next_run(self, server_factory, tmp_path, faults):
+        # Listing page 1 of 3 fails for good, so the first run keeps the two
+        # tokens of page 0 and exits with a dataset; the collection stays
+        # open, and the next run enumerates it again and completes it.
+        def fixture():
+            return generate_fixture(42, n_collections=1, tokens_per_collection=6)
+
+        fx = fixture()
+        for occurrence, fault in enumerate(faults):
+            fx.fault_schedule.append(FaultRule("tokens?page=1&", fault, occurrence))
+        server = server_factory(fx, fault_timeout_seconds=1.0)
+        config = fast_config(server.base_url, page_size_tokens=2, request_timeout_seconds=0.3)
+        work = tmp_path / "work"
+        first = load_dataset(run_crawl(config, work))
+        name = fx.collections[0].ref.collection_name
+        assert [s.token.token for s in first[name]] == fx.collections[0].tokens[:2]
+
+        clean_server = server_factory(fixture())
+        clean = run_crawl(fast_config(clean_server.base_url, page_size_tokens=2), tmp_path / "clean")
+        assert run_crawl(config, work).read_bytes() == clean.read_bytes()
+        before = len(server.request_log())
+        run_crawl(config, work)
+        assert len(server.request_log()) - before == 1  # discovery only
+
+    def test_order_without_end_state_is_enumerated_again_once(self, server_factory, tmp_path):
+        # A store written before the listing's end state was recorded: its
+        # collections count as unfinished, which costs one re-enumeration.
+        fx = generate_fixture(42, n_collections=1)
+        server = server_factory(fx)
+        config = fast_config(server.base_url)
+        work = tmp_path / "work"
+        first = run_crawl(config, work).read_bytes()
+        store_path = work / "results.jsonl"
+        records = [json.loads(line) for line in store_path.read_text().splitlines()]
+        for rec in records:
+            rec.pop("end", None)
+        store_path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+        before = len(server.request_log())
+        assert run_crawl(config, work).read_bytes() == first
+        rerun = server.request_log()[before:]
+        cid = fx.collections[0].ref.collection_id
+        # discovery and the two listing pages; every token's series is kept
+        assert [r.path for r in rerun] == ["/collections"] + [f"/collections/{cid}/tokens"] * 2
+        before = len(server.request_log())
+        assert run_crawl(config, work).read_bytes() == first
+        assert len(server.request_log()) - before == 1
 
     def test_preset_stop_event_stops_after_discovery(self, server_factory, tmp_path):
         server = server_factory(generate_fixture(42))
