@@ -7,7 +7,6 @@ from .model import (
     CollectionRef,
     Dataset,
     IntervalReturn,
-    MomentEstimate,
     PipelineError,
     PortfolioAllocation,
     PriceSeries,
@@ -21,7 +20,6 @@ __all__ = [
     "CollectionRef",
     "Dataset",
     "IntervalReturn",
-    "MomentEstimate",
     "PipelineError",
     "PortfolioAllocation",
     "PriceSeries",

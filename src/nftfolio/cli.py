@@ -17,7 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-from .ingest import DEFAULT_USER_AGENT, CrawlConfig, run_crawl
 from .model import (
     PipelineError,
     PortfolioAllocation,
@@ -26,14 +25,6 @@ from .model import (
     TokenRef,
     load_dataset,
     validate_dataset,
-)
-from .optimize import (
-    DegeneratePortfolioError,
-    NoFeasibleTangencyError,
-    OptimizerConfig,
-    estimate_moments,
-    max_sharpe_weights,
-    select_assets,
 )
 from .report import render_portfolio_report, render_returns_report
 from .returns import InsufficientDataError, filter_dataset, time_weighted_return
@@ -62,6 +53,8 @@ def _load_valid_dataset(path: str):
 
 
 def cmd_crawl(args: argparse.Namespace) -> int:
+    from .ingest import CrawlConfig, run_crawl
+
     endpoint = os.environ.get("PIPELINE_ENDPOINT") or args.endpoint
     if not endpoint:
         print("error: no endpoint; pass --endpoint or set PIPELINE_ENDPOINT", file=sys.stderr)
@@ -77,7 +70,7 @@ def cmd_crawl(args: argparse.Namespace) -> int:
         request_timeout_seconds=args.timeout,
         proxies=tuple(args.proxy or ()),
         cookie_persistence=args.cookie_persistence,
-        user_agent=args.user_agent,
+        **({} if args.user_agent is None else {"user_agent": args.user_agent}),
     )
     started = time.monotonic()
     path = run_crawl(config, args.workdir, out_path=args.out, stop_after_tokens=args.max_tokens)
@@ -120,6 +113,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from .optimize import (
+        DegeneratePortfolioError,
+        NoFeasibleTangencyError,
+        OptimizerConfig,
+        estimate_moments,
+        max_sharpe_weights,
+        select_assets,
+    )
+
     dataset = _load_valid_dataset(args.dataset)
     filtered = filter_dataset(dataset, min_trades=2, cutoff=None)
     if args.series is not None:
@@ -229,7 +231,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    # Imported here so that the other stages do not load http.server.
+    # Each stage imports its own heavy modules: replay loads http.server,
+    # crawl requests and optimize numpy, and no other stage pays for them.
     from .replay import ReplayServer, generate_fixture, load_fixture, save_fixture
 
     if args.fixture:
@@ -290,7 +293,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     crawl.add_argument("--timeout", type=float, default=20.0, help="per-request timeout in seconds")
     crawl.add_argument("--proxy", action="append", help="proxy identity; repeat to build a pool")
     crawl.add_argument("--cookie-persistence", action="store_true")
-    crawl.add_argument("--user-agent", default=DEFAULT_USER_AGENT)
+    crawl.add_argument("--user-agent", default=None, help="User-Agent header (default: a desktop browser's)")
     crawl.add_argument("--max-tokens", type=int, default=None, help="stop after this many tokens")
     crawl.set_defaults(func=cmd_crawl)
     registry["crawl"] = crawl

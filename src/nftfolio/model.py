@@ -15,8 +15,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 TOKEN_RE = re.compile(r"[a-zA-Z0-9]+\Z")
 COLLECTION_ID_RE = re.compile(r"[A-Za-z0-9]+\Z")
 
@@ -113,29 +111,6 @@ class ReturnSummary:
     token: TokenRef
     total_return: float
     interval_count: int
-
-
-@dataclass
-class MomentEstimate:
-    """Sample mean vector and covariance matrix of grid-resampled returns."""
-
-    assets: tuple[TokenRef, ...]
-    mean_returns: np.ndarray
-    covariance: np.ndarray
-    grid_period_seconds: int
-
-    def __post_init__(self) -> None:
-        self.assets = tuple(self.assets)
-        self.mean_returns = np.asarray(self.mean_returns, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        n = len(self.assets)
-        if self.mean_returns.shape != (n,) or self.covariance.shape != (n, n):
-            raise ValueError(
-                f"moment shapes {self.mean_returns.shape}/{self.covariance.shape} "
-                f"do not match {n} assets"
-            )
-        if n and np.max(np.abs(self.covariance - self.covariance.T)) > 1e-12:
-            raise ValueError("covariance is not symmetric within 1e-12")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MomentEstimate, PipelineError, PortfolioAllocation, PriceSeries
+from .model import PipelineError, PortfolioAllocation, PriceSeries, TokenRef
 from .returns import InsufficientDataError
 
 logger = logging.getLogger(__name__)
@@ -47,6 +47,29 @@ class DegeneratePortfolioError(PipelineError):
 class NoFeasibleTangencyError(PipelineError):
     """No asset earns more than the risk-free rate, so every long-only
     portfolio has non-positive excess return."""
+
+
+@dataclass
+class MomentEstimate:
+    """Sample mean vector and covariance matrix of grid-resampled returns."""
+
+    assets: tuple[TokenRef, ...]
+    mean_returns: np.ndarray
+    covariance: np.ndarray
+    grid_period_seconds: int
+
+    def __post_init__(self) -> None:
+        self.assets = tuple(self.assets)
+        self.mean_returns = np.asarray(self.mean_returns, dtype=float)
+        self.covariance = np.asarray(self.covariance, dtype=float)
+        n = len(self.assets)
+        if self.mean_returns.shape != (n,) or self.covariance.shape != (n, n):
+            raise ValueError(
+                f"moment shapes {self.mean_returns.shape}/{self.covariance.shape} "
+                f"do not match {n} assets"
+            )
+        if n and np.max(np.abs(self.covariance - self.covariance.T)) > 1e-12:
+            raise ValueError("covariance is not symmetric within 1e-12")
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,17 @@ holding-period return, and it is kept that way on purpose.
 
 The power is evaluated as expm1(log1p(R) / dt), which is algebraically
 identical and much better conditioned for near-zero returns and large dt.
-For the same reason the product is folded in log space with compensated
-summation rather than as a running float multiply.
+For the same reason the product is folded in log space, as
+expm1(fsum(log1p(R_i) / dt_i)): ``math.fsum`` returns the exactly rounded
+sum of its terms (Shewchuk, Discrete Comput. Geom. 18, 1997), so a long
+history adds no rounding beyond that of its terms.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from operator import truediv
 
 from .model import (
     Dataset,
@@ -82,50 +85,48 @@ def _adjusted(simple: float, delta_seconds: int) -> float:
     return math.expm1(math.log1p(simple) / delta_seconds)
 
 
+def _intervals(series: PriceSeries) -> tuple[list[float], list[int]]:
+    """Simple returns and lengths in seconds of a series' n-1 intervals."""
+    rets = simple_returns(series)
+    ts = series.timestamps
+    deltas = [u - t for t, u in zip(ts, ts[1:])]
+    if min(deltas) <= 0:
+        i = next(i for i, dt in enumerate(deltas) if dt <= 0)
+        raise ValueError(
+            f"{series.token.token}: non-increasing timestamps at index {i}; clean the series first"
+        )
+    return rets, deltas
+
+
 def interval_adjusted_returns(series: PriceSeries) -> list[IntervalReturn]:
     """Per-interval simple and per-second compounded returns.
 
     Requires a cleaned series (strictly increasing timestamps, positive
     prices); produces n-1 intervals for n trades.
     """
-    rets = simple_returns(series)
-    out: list[IntervalReturn] = []
-    for i, r in enumerate(rets):
-        dt = series.timestamps[i + 1] - series.timestamps[i]
-        if dt <= 0:
-            raise ValueError(
-                f"{series.token.token}: non-increasing timestamps at index {i}; clean the series first"
-            )
-        out.append(IntervalReturn(simple_return=r, delta_seconds=dt, adjusted_return=_adjusted(r, dt)))
-    return out
+    rets, deltas = _intervals(series)
+    return [IntervalReturn(r, dt, _adjusted(r, dt)) for r, dt in zip(rets, deltas)]
 
 
 def time_weighted_return(series: PriceSeries) -> ReturnSummary:
     """Compound the per-second adjusted rates over the whole history.
 
-    prod(1 + r_i) - 1 is evaluated as expm1 of a compensated sum of
-    log1p(R_i) / dt_i.  A running float product would add one rounding per
-    interval and, on long histories whose gains and losses nearly cancel,
-    those roundings dominate the small total; the log-space form stays at
-    reference accuracy.  Each interval keeps its own dt divisor, so this
-    is still the per-interval compounding score, not a holding-period
-    return in disguise.
+    prod(1 + r_i) - 1 is evaluated as expm1(fsum(log1p(R_i) / dt_i)).  A
+    running float product would add one rounding per interval and, on long
+    histories whose gains and losses nearly cancel, those roundings
+    dominate the small total; ``math.fsum`` sums the log terms exactly
+    rounded instead.  A single interval returns its adjusted rate bit for
+    bit.  Each interval keeps its own dt divisor, so this is still the
+    per-interval compounding score, not a holding-period return in
+    disguise.  Requires a cleaned series, like ``interval_adjusted_returns``.
     """
-    intervals = interval_adjusted_returns(series)
-    if len(intervals) == 1:
+    rets, deltas = _intervals(series)
+    if len(rets) == 1:
         # one-factor product: the total IS the adjusted rate, bit for bit
-        only = intervals[0]
-        return ReturnSummary(token=series.token, total_return=only.adjusted_return, interval_count=1)
-    total_log = 0.0
-    carry = 0.0  # Kahan compensation
-    for iv in intervals:
-        term = math.log1p(iv.simple_return) / iv.delta_seconds - carry
-        bumped = total_log + term
-        carry = (bumped - total_log) - term
-        total_log = bumped
-    return ReturnSummary(
-        token=series.token, total_return=math.expm1(total_log), interval_count=len(intervals)
-    )
+        total = _adjusted(rets[0], deltas[0])
+    else:
+        total = math.expm1(math.fsum(map(truediv, map(math.log1p, rets), deltas)))
+    return ReturnSummary(token=series.token, total_return=total, interval_count=len(rets))
 
 
 def filter_dataset(dataset: Dataset, min_trades: int = 2, cutoff: int | None = None) -> Dataset:

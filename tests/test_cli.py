@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from nftfolio import ingest
 from nftfolio.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
 from nftfolio.model import PriceSeries, TokenRef, dump_dataset, load_dataset
 from nftfolio.replay import generate_fixture, load_fixture
@@ -96,6 +97,14 @@ class TestCrawlCommand:
         )
         assert rc == EXIT_OK
         assert "stopped early" in capsys.readouterr().out
+
+    def test_user_agent_defaults_to_crawl_config(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(ingest, "run_crawl", lambda config, *a, **k: seen.append(config))
+        common = ["crawl", "--endpoint", "http://127.0.0.1:1", "--workdir", str(tmp_path)]
+        assert main(common) == EXIT_OK
+        assert main(common + ["--user-agent", "probe/1.0"]) == EXIT_OK
+        assert [c.user_agent for c in seen] == [ingest.DEFAULT_USER_AGENT, "probe/1.0"]
 
     def test_unreachable_endpoint_is_domain_error(self, tmp_path, capsys):
         rc = main(
@@ -392,23 +401,44 @@ class TestInstalledEntryPoints:
         assert proc.returncode == 0
         assert "crawl" in proc.stdout and "replay" in proc.stdout
 
-    def test_stage_imports_leave_out_scipy_and_http_server(self):
-        # http.server is for replay alone and nothing needs scipy, not even
-        # a solve; the other stages must not pay for importing them.
-        code = (
-            "import sys, numpy as np, nftfolio.cli, nftfolio.ingest; "
-            "from nftfolio.model import MomentEstimate, TokenRef; "
-            "from nftfolio.optimize import OptimizerConfig, max_sharpe_weights; "
-            "m = MomentEstimate(tuple(TokenRef(t, 'S') for t in 'abc'), "
-            "np.array([0.1, 0.2, 0.15]), np.diag([0.01, 0.04, 0.02]), 86400); "
-            "max_sharpe_weights(m, OptimizerConfig()); "
-            "print(sorted(m for m in ('scipy', 'http.server') if m in sys.modules))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    def test_stage_imports_leave_out_scipy_and_http_server(self, tmp_path):
+        # Each stage runs in a fresh interpreter and reports which heavy
+        # modules it loaded: http.server is for replay alone, requests for
+        # crawl, numpy for optimize, and nothing needs scipy, not even a
+        # solve.  analyze and report need only the standard library.
+        heavy = ("http.server", "numpy", "requests", "scipy")
+        prices = {
+            "a": (1.0, 1.2, 1.1, 1.5, 1.4, 1.9),
+            "b": (2.0, 2.1, 2.5, 2.2, 2.6, 2.9),
+            "c": (5.0, 4.8, 5.5, 5.9, 5.7, 6.4),
+        }
+        dataset = {
+            "S": [
+                series_of(tok, "S", [(86400 * (d + 1), p) for d, p in enumerate(ps)])
+                for tok, ps in prices.items()
+            ]
+        }
+        data = write_dataset(tmp_path / "d.json", dataset)
+        returns, portfolio = str(tmp_path / "r.json"), str(tmp_path / "p.json")
+
+        def loaded(code):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys; {code}; "
+                 f"print(sorted(m for m in {heavy!r} if m in sys.modules))"],
+                capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.strip().splitlines()[-1]
+
+        def stage(*argv):
+            return loaded(f"from nftfolio.cli import main; assert main({list(argv)!r}) == 0")
+
+        assert loaded("import nftfolio.cli, nftfolio.ingest") == "['requests']"
+        assert stage("analyze", "--dataset", data, "--out", returns) == "[]"
+        assert stage("optimize", "--dataset", data, "--all", "--out", portfolio) == "['numpy']"
+        assert json.loads((tmp_path / "p.json").read_text())[0]["assets"]
+        assert stage("report", "--portfolio", portfolio, "--returns", returns,
+                     "--out", str(tmp_path / "report.txt")) == "[]"
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -17,9 +17,10 @@ import random
 import numpy as np
 import pytest
 
-from nftfolio.model import MomentEstimate, PriceSeries, TokenRef
+from nftfolio.model import PriceSeries, TokenRef
 from nftfolio.optimize import (
     DegeneratePortfolioError,
+    MomentEstimate,
     NoFeasibleTangencyError,
     OptimizerConfig,
     estimate_moments,

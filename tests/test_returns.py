@@ -172,6 +172,60 @@ class TestTimeWeightedReturn:
         )
 
 
+def fsum_total(series: PriceSeries) -> float:
+    """The engine's formula, written out: expm1(fsum(log1p(R_i) / dt_i))."""
+    p, t = series.prices, series.timestamps
+    return math.expm1(
+        math.fsum(math.log1p((b - a) / a) / (u - v) for a, b, v, u in zip(p, p[1:], t, t[1:]))
+    )
+
+
+def near_cancelling_series(n: int, seed: int) -> PriceSeries:
+    """n intervals of 30-3000 s whose prices move up to 2% either way, so
+    the per-interval log terms largely cancel."""
+    rng = random.Random(seed)
+    t, price = 1_600_000_000, 100.0
+    ts, ps = [t], [price]
+    for _ in range(n):
+        t += rng.randint(30, 3000)
+        price *= math.exp(rng.uniform(-0.02, 0.02))
+        ts.append(t)
+        ps.append(price)
+    return PriceSeries(TokenRef("Tok1", "S"), tuple(ts), tuple(ps))
+
+
+class TestExactSum:
+    def test_bit_identical_to_fsum_formula(self):
+        rng = random.Random(31337)
+        for _ in range(300):
+            s = random_series(rng, length=rng.randint(3, 200))
+            assert time_weighted_return(s).total_return == fsum_total(s)
+
+    def test_single_interval_is_the_adjusted_return(self):
+        rng = random.Random(4242)
+        for step in (1, 2, 1_000_000) * 50:
+            s = random_series(rng, length=2, max_step_seconds=step)
+            (iv,) = interval_adjusted_returns(s)
+            assert time_weighted_return(s).total_return == iv.adjusted_return
+
+    def test_non_increasing_timestamp_is_rejected(self):
+        s = series_of([(0, 1.0), (10, 2.0), (10, 3.0), (20, 4.0)])
+        with pytest.raises(ValueError, match="index 1"):
+            time_weighted_return(s)
+        with pytest.raises(ValueError, match="index 1"):
+            interval_adjusted_returns(s)
+
+    def test_long_near_cancelling_history_matches_oracle(self):
+        s = near_cancelling_series(100_000, seed=2)
+        got = time_weighted_return(s).total_return
+        gross = math.fsum(
+            abs(math.log1p((b - a) / a)) / (u - v)
+            for a, b, v, u in zip(s.prices, s.prices[1:], s.timestamps, s.timestamps[1:])
+        )
+        assert gross > 500 * abs(math.log1p(got))  # the gains and losses nearly cancel
+        assert got == pytest.approx(oracle_total_return(s, dps=30), rel=1e-12)
+
+
 class TestFilterDataset:
     def make(self):
         return {
