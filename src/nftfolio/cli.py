@@ -231,8 +231,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    # Each stage imports its own heavy modules: replay loads http.server,
-    # crawl requests and optimize numpy, and no other stage pays for them.
+    # Each stage imports its own heavy modules: replay loads http.server
+    # and crawl requests, and no other stage pays for them.
     from .replay import ReplayServer, generate_fixture, load_fixture, save_fixture
 
     if args.fixture:

@@ -29,14 +29,13 @@ from nftfolio.model import (
 )
 from nftfolio.optimize import (
     OptimizerConfig,
-    grid_sharpe_oracle,
     max_sharpe_weights,
 )
 from nftfolio.replay import generate_fixture
 from nftfolio.report import render_portfolio_table
 from nftfolio.returns import interval_adjusted_returns, time_weighted_return
 from test_ingest import expected_dataset, manual_fixture, sale
-from test_optimize import moments_of
+from test_optimize import grid_sharpe_oracle, moments_of
 from test_returns import oracle_total_return, series_of
 
 

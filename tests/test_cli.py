@@ -404,8 +404,8 @@ class TestInstalledEntryPoints:
     def test_stage_imports_leave_out_scipy_and_http_server(self, tmp_path):
         # Each stage runs in a fresh interpreter and reports which heavy
         # modules it loaded: http.server is for replay alone, requests for
-        # crawl, numpy for optimize, and nothing needs scipy, not even a
-        # solve.  analyze and report need only the standard library.
+        # crawl, and no stage needs numpy or scipy, not even a solve.
+        # analyze, optimize and report need only the standard library.
         heavy = ("http.server", "numpy", "requests", "scipy")
         prices = {
             "a": (1.0, 1.2, 1.1, 1.5, 1.4, 1.9),
@@ -434,8 +434,9 @@ class TestInstalledEntryPoints:
             return loaded(f"from nftfolio.cli import main; assert main({list(argv)!r}) == 0")
 
         assert loaded("import nftfolio.cli, nftfolio.ingest") == "['requests']"
+        assert loaded("import nftfolio.optimize") == "[]"
         assert stage("analyze", "--dataset", data, "--out", returns) == "[]"
-        assert stage("optimize", "--dataset", data, "--all", "--out", portfolio) == "['numpy']"
+        assert stage("optimize", "--dataset", data, "--all", "--out", portfolio) == "[]"
         assert json.loads((tmp_path / "p.json").read_text())[0]["assets"]
         assert stage("report", "--portfolio", portfolio, "--returns", returns,
                      "--out", str(tmp_path / "report.txt")) == "[]"

@@ -4,14 +4,15 @@ Four independent reference routes guard the solver:
 
 * closed-form tangency weights w ~ inv(Sigma) (mu - rf), normalized, valid
   whenever the unconstrained solution is already long-only;
-* an exhaustive simplex grid search (library-provided but exercised here
-  against hand-checkable cases before it is trusted);
+* an exhaustive simplex grid search in numpy (``grid_sharpe_oracle``
+  below, exercised against hand-checkable cases before it is trusted);
 * the optimality (KKT) conditions, checked from the returned weights alone
   on up to ten assets;
 * a textbook two-pass covariance computed with plain loops.
 """
 
 import math
+import operator
 import random
 
 import numpy as np
@@ -19,12 +20,13 @@ import pytest
 
 from nftfolio.model import PriceSeries, TokenRef
 from nftfolio.optimize import (
+    _PSD_TOL,
     DegeneratePortfolioError,
     MomentEstimate,
     NoFeasibleTangencyError,
     OptimizerConfig,
+    _cholesky,
     estimate_moments,
-    grid_sharpe_oracle,
     max_sharpe_weights,
     neg_sharpe,
     resample_to_grid,
@@ -63,6 +65,48 @@ def moments_of(mu, cov, names=None):
         covariance=np.asarray(cov, float),
         grid_period_seconds=DAY,
     )
+
+
+def grid_sharpe_oracle(
+    moments: MomentEstimate, resolution: float = 0.01, risk_free_rate: float = 0.0
+) -> tuple[tuple[float, ...], float]:
+    """Exhaustive simplex-lattice Sharpe maximizer for cross-checking.
+
+    Enumerates every weight vector whose components are multiples of
+    ``resolution`` and sum to one, in lexicographic order, and returns the
+    best (ties keep the lexicographically smallest vector).  Deliberately
+    refuses more than four assets; the lattice grows too fast beyond that.
+    """
+    n = len(moments.assets)
+    if n == 0:
+        raise ValueError("no assets")
+    if n > 4:
+        raise ValueError(f"grid oracle supports at most 4 assets, got {n}")
+    steps = round(1.0 / resolution)
+    if abs(steps * resolution - 1.0) > 1e-9 or steps < 1:
+        raise ValueError(f"resolution {resolution} does not evenly divide 1")
+
+    def compositions(total: int, parts: int):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for rest in compositions(total - head, parts - 1):
+                yield (head, *rest)
+
+    lattice = np.array(list(compositions(steps, n)), dtype=float) / steps
+    mu = moments.mean_returns
+    sigma = moments.covariance
+    rets = lattice @ mu
+    variances = np.einsum("ki,ij,kj->k", lattice, sigma, lattice)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sharpes = np.where(
+            variances > 0, (rets - risk_free_rate) / np.sqrt(np.maximum(variances, 0)), -np.inf
+        )
+    best = int(np.argmax(sharpes))  # argmax keeps the first (lex smallest) on ties
+    if not np.isfinite(sharpes[best]):
+        raise DegeneratePortfolioError("every lattice point has zero volatility")
+    return tuple(float(x) for x in lattice[best]), float(sharpes[best])
 
 
 def day_series(token, day_prices, start_day=1):
@@ -119,15 +163,15 @@ class TestEstimateMoments:
         m = estimate_moments([a, b], config)
         assert m.mean_returns[0] == pytest.approx(1.0, abs=1e-15)
         # zero sample variance makes Sigma singular, so the ridge lands
-        assert m.covariance[0, 0] == pytest.approx(config.ridge_epsilon, abs=1e-16)
+        assert np.asarray(m.covariance)[0, 0] == pytest.approx(config.ridge_epsilon, abs=1e-16)
 
     def test_identical_assets_get_ridge(self):
         a = day_series("aa", [1.0, 2.0, 1.5, 2.5])
         b = day_series("bb", [1.0, 2.0, 1.5, 2.5])
         config = OptimizerConfig()
         m = estimate_moments([a, b], config)
-        off_diag = m.covariance[0, 1]
-        assert m.covariance[0, 0] == pytest.approx(off_diag + config.ridge_epsilon, rel=1e-9)
+        cov = np.asarray(m.covariance)
+        assert cov[0, 0] == pytest.approx(cov[0, 1] + config.ridge_epsilon, rel=1e-9)
 
     def test_matches_two_pass_covariance(self):
         rng = random.Random(31337)
@@ -151,6 +195,65 @@ class TestEstimateMoments:
                     want_cov + config.ridge_epsilon * np.eye(len(assets)), rel=1e-9, abs=1e-15
                 )
 
+    def test_matches_fsum_formulas_bit_for_bit(self):
+        # The mean is fsum(r) / T and each covariance entry
+        # fsum(d_i * d_j) / (T - 1) over centred returns, to the last bit,
+        # so the covariance is exactly symmetric.
+        rng = random.Random(2718)
+        config = OptimizerConfig()
+        ridged = 0
+        for _ in range(50):
+            n_days = rng.randint(3, 60)
+            assets = [
+                day_series(f"t{j}", [rng.uniform(1, 100) for _ in range(n_days)])
+                for j in range(rng.randint(2, 6))
+            ]
+            m = estimate_moments(assets, config)
+            rets = [[b / a - 1.0 for a, b in zip(s.prices, s.prices[1:])] for s in assets]
+            periods = n_days - 1
+            mu = [math.fsum(r) / periods for r in rets]
+            centred = [[x - mean for x in r] for r, mean in zip(rets, mu)]
+            cov = [
+                [math.fsum(map(operator.mul, d_i, d_j)) / (periods - 1) for d_j in centred]
+                for d_i in centred
+            ]
+            if np.linalg.eigvalsh(cov).min() < 1e-12:
+                ridged += 1
+                for i, row in enumerate(cov):
+                    row[i] += config.ridge_epsilon
+            assert list(m.mean_returns) == mu
+            assert [list(row) for row in m.covariance] == cov
+            assert [list(col) for col in zip(*m.covariance)] == cov
+        assert 0 < ridged < 50
+
+    def test_ridge_decision_matches_smallest_eigenvalue(self):
+        # The ridge lands when Sigma - 1e-12 I has no Cholesky factor, which
+        # is the test eigvalsh(Sigma).min() < 1e-12.  The covariances come
+        # from the KKT test's generator, with up to 2n return periods so
+        # that some are nonsingular, scaled so their spectra straddle the
+        # floor; cases within a factor of 2 of it are left to rounding.
+        rng = np.random.default_rng(8080)
+        outcomes = []
+        for case in range(400):
+            n = int(rng.integers(2, 11))
+            if case % 2:
+                steps = np.exp(rng.normal(0.01, 0.05, size=(int(rng.integers(2, 2 * n + 1)), n)))
+                prices = np.vstack([np.ones(n), np.cumprod(steps, axis=0)])
+                assets = [day_series(f"t{j}", list(prices[:, j])) for j in range(n)]
+                moments = estimate_moments(assets, OptimizerConfig(ridge_epsilon=0.0))
+                sigma = np.asarray(moments.covariance)
+            else:
+                a = rng.normal(size=(n, n))
+                sigma = a @ a.T + 0.05 * np.eye(n)
+            sigma = sigma * 10.0 ** rng.uniform(-12, -6)
+            smallest = np.linalg.eigvalsh(sigma).min()
+            if 0.5e-12 <= smallest <= 2e-12:
+                continue
+            ridge = _cholesky(sigma.tolist(), _PSD_TOL) is None
+            assert ridge == (smallest < 1e-12), case
+            outcomes.append(ridge)
+        assert 50 <= sum(outcomes) <= len(outcomes) - 50
+
     def test_common_window_is_latest_first_trade(self):
         a = day_series("aa", [1.0] * 11, start_day=1)  # days 1..11
         b = day_series("bb", [2.0, 3.0, 1.0, 2.0, 5.0, 4.0], start_day=4)  # days 4..9
@@ -158,7 +261,7 @@ class TestEstimateMoments:
         # window [day 4, day 11] at daily period -> 8 points, 7 returns;
         # asset a is flat there so its mean return is exactly zero
         assert m.mean_returns[0] == 0.0
-        prices_b = resample_to_grid(b, DAY, (4 * DAY, 11 * DAY))
+        prices_b = np.asarray(resample_to_grid(b, DAY, (4 * DAY, 11 * DAY)))
         rets_b = prices_b[1:] / prices_b[:-1] - 1.0
         assert len(rets_b) == 7
         assert m.mean_returns[1] == pytest.approx(rets_b.mean(), rel=1e-12)
@@ -300,14 +403,14 @@ class TestMaxSharpeWeights:
                 a = rng.normal(size=(n, n))
                 moments = moments_of(rng.uniform(-0.1, 0.3, size=n), a @ a.T + 0.05 * np.eye(n))
                 tol = 1e-10
-            if moments.mean_returns.max() <= rf:
+            if max(moments.mean_returns) <= rf:
                 continue
             alloc = max_sharpe_weights(moments, config)
             w = np.asarray(alloc.weights)
             assert abs(w.sum() - 1.0) <= 1e-9
             assert w.min() >= -1e-12
-            m = moments.mean_returns - rf
-            sw = moments.covariance @ w
+            m = np.asarray(moments.mean_returns) - rf
+            sw = np.asarray(moments.covariance) @ w
             residual = ((w @ sw) / (w @ m) * m - sw) / np.abs(sw).max()
             on = w > 0
             assert np.abs(residual[on]).max() <= tol, case
