@@ -24,7 +24,9 @@ from .model import (
     SchemaError,
     TokenRef,
     load_dataset,
+    read_json,
     validate_dataset,
+    write_json,
 )
 from .report import render_portfolio_report, render_returns_report
 from .returns import InsufficientDataError, filter_dataset, time_weighted_return
@@ -34,12 +36,6 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-
-
-def _write_json(obj, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
 
 
 def _load_valid_dataset(path: str):
@@ -59,19 +55,23 @@ def cmd_crawl(args: argparse.Namespace) -> int:
     if not endpoint:
         print("error: no endpoint; pass --endpoint or set PIPELINE_ENDPOINT", file=sys.stderr)
         return EXIT_USAGE
-    config = CrawlConfig(
-        endpoint_base=endpoint,
-        collection_limit=args.collections,
-        page_size_tokens=args.token_page_size,
-        page_size_activities=args.activity_page_size,
-        qps_limit=args.qps,
-        download_delay_seconds=args.delay,
-        max_concurrent_per_host=args.concurrency,
-        request_timeout_seconds=args.timeout,
-        proxies=tuple(args.proxy or ()),
-        cookie_persistence=args.cookie_persistence,
-        **({} if args.user_agent is None else {"user_agent": args.user_agent}),
-    )
+    try:
+        config = CrawlConfig(
+            endpoint_base=endpoint,
+            collection_limit=args.collections,
+            page_size_tokens=args.token_page_size,
+            page_size_activities=args.activity_page_size,
+            qps_limit=args.qps,
+            download_delay_seconds=args.delay,
+            max_concurrent_per_host=args.concurrency,
+            request_timeout_seconds=args.timeout,
+            proxies=tuple(args.proxy or ()),
+            cookie_persistence=args.cookie_persistence,
+            **({} if args.user_agent is None else {"user_agent": args.user_agent}),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     started = time.monotonic()
     path = run_crawl(config, args.workdir, out_path=args.out, stop_after_tokens=args.max_tokens)
     if path is None:
@@ -93,7 +93,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for series_list in filtered.values()
         for series in series_list
     ]
-    _write_json(
+    write_json(
         [
             {
                 "token": s.token.token,
@@ -122,6 +122,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         select_assets,
     )
 
+    try:
+        config = OptimizerConfig(
+            risk_free_rate=args.rf, top_k=args.top, grid_period_seconds=args.grid_period
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     dataset = _load_valid_dataset(args.dataset)
     filtered = filter_dataset(dataset, min_trades=2, cutoff=None)
     if args.series is not None:
@@ -132,9 +139,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         chosen = {args.series: filtered[args.series]}
     else:
         chosen = filtered
-    config = OptimizerConfig(
-        risk_free_rate=args.rf, top_k=args.top, grid_period_seconds=args.grid_period
-    )
     records = []
     for name, series_list in chosen.items():
         try:
@@ -158,55 +162,38 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         logger.info("stage=optimize series=%s assets=%d sharpe=%.6f", name, len(alloc.assets), alloc.sharpe)
     if not records:
         raise InsufficientDataError("insufficient data: no series produced an allocation")
-    _write_json(records, args.out)
+    write_json(records, args.out)
     logger.info("stage=optimize dataset=%s series=%d out=%s", args.dataset, len(records), args.out)
     return EXIT_OK
 
 
-def _allocations_from_file(path: str) -> list[PortfolioAllocation]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"portfolio file {path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, list):
-        raise SchemaError(f"portfolio file {path}: top level is not a list")
-    allocs = []
-    for i, rec in enumerate(raw):
-        try:
-            name = rec["series_name"]
-            allocs.append(
-                PortfolioAllocation(
-                    assets=tuple(TokenRef(tok, name) for tok in rec["assets"]),
-                    weights=tuple(float(w) for w in rec["weights"]),
-                    sharpe=float(rec["sharpe"]),
-                    risk_free_rate=float(rec.get("risk_free_rate", 0.0)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"portfolio file {path}: element {i} malformed ({exc})") from exc
-    return allocs
+def _allocation(rec: dict) -> PortfolioAllocation:
+    name = rec["series_name"]
+    return PortfolioAllocation(
+        assets=tuple(TokenRef(tok, name) for tok in rec["assets"]),
+        weights=tuple(float(w) for w in rec["weights"]),
+        sharpe=float(rec["sharpe"]),
+        risk_free_rate=float(rec.get("risk_free_rate", 0.0)),
+    )
 
 
-def _summaries_from_file(path: str) -> list[ReturnSummary]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"returns file {path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, list):
-        raise SchemaError(f"returns file {path}: top level is not a list")
-    summaries = []
-    for i, rec in enumerate(raw):
+def _summary(rec: dict) -> ReturnSummary:
+    return ReturnSummary(
+        token=TokenRef(rec["token"], rec["series_name"]),
+        total_return=float(rec["total_return"]),
+        interval_count=int(rec["interval_count"]),
+    )
+
+
+def _records_from_file(path: str, what: str, build) -> list:
+    """Build one record per element of the JSON list in ``path``."""
+    records = []
+    for i, rec in enumerate(read_json(path, what, list)):
         try:
-            summaries.append(
-                ReturnSummary(
-                    token=TokenRef(rec["token"], rec["series_name"]),
-                    total_return=float(rec["total_return"]),
-                    interval_count=int(rec["interval_count"]),
-                )
-            )
+            records.append(build(rec))
         except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"returns file {path}: element {i} malformed ({exc})") from exc
-    return summaries
+            raise SchemaError(f"{what} file {path}: element {i} malformed ({exc})") from exc
+    return records
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -215,9 +202,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     sections = []
     if args.portfolio:
-        sections.append(render_portfolio_report(_allocations_from_file(args.portfolio), args.format))
+        allocations = _records_from_file(args.portfolio, "portfolio", _allocation)
+        sections.append(render_portfolio_report(allocations, args.format))
     if args.returns_file:
-        sections.append(render_returns_report(_summaries_from_file(args.returns_file), args.format))
+        summaries = _records_from_file(args.returns_file, "returns", _summary)
+        sections.append(render_returns_report(summaries, args.format))
     output = "\n".join(sections)
     if args.out:
         Path(args.out).write_text(output, encoding="utf-8")
@@ -238,12 +227,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.fixture:
         fixture = load_fixture(args.fixture)
     elif args.seed is not None:
-        fixture = generate_fixture(
-            args.seed,
-            n_collections=args.collections,
-            tokens_per_collection=args.tokens_per_collection,
-            trades_per_token_range=(args.trades_min, args.trades_max),
-        )
+        try:
+            fixture = generate_fixture(
+                args.seed,
+                n_collections=args.collections,
+                tokens_per_collection=args.tokens_per_collection,
+                trades_per_token_range=(args.trades_min, args.trades_max),
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print("error: replay needs --fixture or --seed", file=sys.stderr)
         return EXIT_USAGE

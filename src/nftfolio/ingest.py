@@ -52,8 +52,9 @@ from .model import (
     SchemaError,
     TokenRef,
     TradeEvent,
-    save_collection_index,
+    read_json,
     serialize_dataset,
+    write_json,
 )
 from .returns import clean_series
 
@@ -123,7 +124,6 @@ class CrawlConfig:
     proxies: tuple[str, ...] = ()
     cookie_persistence: bool = False
     user_agent: str = DEFAULT_USER_AGENT
-    accept: str = DEFAULT_ACCEPT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "proxies", tuple(self.proxies))
@@ -198,7 +198,7 @@ class MarketClient:
             config.qps_limit, config.download_delay_seconds, config.max_concurrent_per_host
         )
         self._session = requests.Session()
-        self._session.headers.update({"User-Agent": config.user_agent, "Accept": config.accept})
+        self._session.headers.update({"User-Agent": config.user_agent, "Accept": DEFAULT_ACCEPT})
         self._proxy_index = 0
         self._proxy_lock = threading.Lock()
         if config.proxies:
@@ -237,18 +237,11 @@ class MarketClient:
         return response.text
 
     def save_cookies(self, path: str | Path) -> None:
-        jar = requests.utils.dict_from_cookiejar(self._session.cookies)
-        Path(path).write_text(json.dumps(jar, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(requests.utils.dict_from_cookiejar(self._session.cookies), path)
 
     def load_cookies(self, path: str | Path) -> None:
-        path = Path(path)
-        if not path.exists():
-            return
-        try:
-            jar = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"cookie file {path}: not valid JSON ({exc})") from exc
-        self._session.cookies.update(jar)
+        if Path(path).exists():
+            self._session.cookies.update(read_json(path, "cookie", dict))
 
 
 _ROTATE, _WAIT, _RETRY = "rotate proxy", "wait delay", "retry"
@@ -282,9 +275,7 @@ def _get(client: MarketClient, config: CrawlConfig, site: str, path: str, params
     return client.get(path, params)
 
 
-def discover_collections(
-    client: MarketClient, config: CrawlConfig, index_path: str | Path | None = None
-) -> list[CollectionRef]:
+def discover_collections(client: MarketClient, config: CrawlConfig) -> list[CollectionRef]:
     """Fetch the volume-ranked collection overview and extract refs.
     A failure that ``_RETRY_POLICY`` does not retry is a CrawlError."""
     params = {
@@ -298,8 +289,6 @@ def discover_collections(
     except FetchError as exc:
         raise CrawlError(f"collection discovery failed: {exc}") from exc
     refs = extract.parse_collection_overview(body)
-    if index_path is not None:
-        save_collection_index(refs, index_path)
     logger.info("stage=discover collections=%d", len(refs))
     return refs
 
@@ -497,30 +486,30 @@ def run_crawl(
     stopped early by ``stop_after_tokens``/``stop_event``.
 
     The workdir holds results.jsonl (the append-only record store and the
-    only record of progress), collections.json (the discovery index) and,
-    with cookie persistence enabled, cookies.json.  A collection is
-    complete exactly when its latest token order there ended DONE_EMPTY
-    and a series for every token in it is there too; a resume skips
-    complete collections without enumerating them, enumerates the others
-    again and, within them, skips exactly the tokens whose series
-    results.jsonl holds.  A listing cut short by a fault still yields a
-    dataset of the tokens found, and the next run completes it.  The
-    final dataset is written atomically, and a resumed crawl produces
-    bytes identical to an uninterrupted run.
+    only record of progress), cookies.json with cookie persistence
+    enabled, and dataset.json unless ``out_path`` names another file.  A
+    collection is complete exactly when its latest token order in the
+    store ended DONE_EMPTY and a series for every token in it is there
+    too; a resume skips complete collections without enumerating them,
+    enumerates the others again and, within them, skips exactly the
+    tokens whose series the store holds.  A listing cut short by a fault
+    still yields a dataset of the tokens found, and the next run
+    completes it.  The final dataset is written atomically, and a resumed
+    crawl produces bytes identical to an uninterrupted run.
 
     Before returning, the crawl waits for its limiter's next start slot,
     so a crawl started right afterwards keeps the configured spacing.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    store = _ResultStore(workdir / "results.jsonl")
     limiter = RateLimiter(
         config.qps_limit, config.download_delay_seconds, config.max_concurrent_per_host
     )
     client = MarketClient(config, limiter)
     cookie_path = workdir / "cookies.json"
     if config.cookie_persistence:
-        client.load_cookies(cookie_path)
+        client.load_cookies(cookie_path)  # before the store opens: nothing to close on error
+    store = _ResultStore(workdir / "results.jsonl")
 
     completed_this_run = 0
     stopped = False
@@ -531,7 +520,7 @@ def run_crawl(
         return stop_after_tokens is not None and completed_this_run >= stop_after_tokens
 
     try:
-        refs = discover_collections(client, config, index_path=workdir / "collections.json")
+        refs = discover_collections(client, config)
         for ref in refs:
             if should_stop():
                 stopped = True
@@ -543,31 +532,25 @@ def run_crawl(
             store.append_order(series_name, [t.token for t in result.tokens], result.state)
             pending = [t for t in result.tokens if not store.has_series(series_name, t.token)]
             failures = 0
-            skipped = 0
             worker_stop = threading.Event()
-
-            def fetch_one(token_ref: TokenRef) -> tuple[TokenRef, PriceSeries | None, TokenFetchError | None]:
-                if worker_stop.is_set():
-                    raise CrawlStopped(token_ref.token)
-                try:
-                    series = fetch_trade_history(client, config, token_ref, stop_event=worker_stop)
-                    return token_ref, series, None
-                except TokenFetchError as exc:
-                    return token_ref, None, exc
-
             with ThreadPoolExecutor(max_workers=config.max_concurrent_per_host) as pool:
-                pending_futures = {pool.submit(fetch_one, t) for t in pending}
+                token_of = {
+                    pool.submit(fetch_trade_history, client, config, t, worker_stop): t
+                    for t in pending
+                }
+                pending_futures = set(token_of)
+                # The timeout lets an external stop_event end the wait too.
                 while pending_futures:
                     done, pending_futures = wait(
                         pending_futures, timeout=0.2, return_when=FIRST_COMPLETED
                     )
                     for future in done:
+                        token_ref = token_of[future]
                         try:
-                            token_ref, series, error = future.result()
+                            series = future.result()
                         except (CrawlStopped, CancelledError):
-                            skipped += 1
-                            continue
-                        if error is not None:
+                            continue  # only once worker_stop is set
+                        except TokenFetchError:
                             failures += 1
                             logger.warning("stage=fetch token=%s status=failed", token_ref.token)
                             continue
@@ -579,7 +562,7 @@ def run_crawl(
                         worker_stop.set()
                         for f in pending_futures:
                             f.cancel()
-            if worker_stop.is_set() or skipped:
+            if worker_stop.is_set():
                 stopped = True
                 break
             logger.info(

@@ -3,8 +3,9 @@
 The dataset file is the contract between the crawler and the analysis
 stages: a JSON object mapping series names (collections) to lists of
 per-token records, each holding parallel ``history`` (epoch seconds) and
-``price`` arrays.  Serialization is canonical (sorted keys, two-space
-indent, UTF-8) so that identical data always produces identical bytes.
+``price`` arrays.  Every JSON file a stage writes is canonical
+(``dump_json``: sorted keys, two-space indent, UTF-8) so that identical
+data always produces identical bytes.
 """
 
 from __future__ import annotations
@@ -24,8 +25,31 @@ class PipelineError(Exception):
 
 
 class SchemaError(PipelineError):
-    """A dataset, index, fixture, result-store or other input file does not
+    """A dataset, cookie, fixture, result-store or other input file does not
     match its schema."""
+
+
+def dump_json(obj) -> str:
+    """Canonical JSON text, the one form every ``.json`` output is written
+    in: sorted keys, two-space indent, UTF-8 kept as is, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def write_json(obj, path: str | Path) -> None:
+    Path(path).write_text(dump_json(obj), encoding="utf-8")
+
+
+def read_json(path: str | Path, what: str, top: type):
+    """The JSON in ``path``.  Bad JSON, or a top level that is not a ``top``
+    (list or dict), is a SchemaError naming ``what`` and the file."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} file {path}: not valid JSON ({exc})") from exc
+    if not isinstance(obj, top):
+        kind = "a JSON object" if top is dict else "a list"
+        raise SchemaError(f"{what} file {path}: top level is not {kind}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -189,15 +213,11 @@ def serialize_dataset(dataset: Dataset) -> str:
         ]
         for name, series_list in dataset.items()
     }
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(obj)
 
 
 def load_dataset(path: str | Path) -> Dataset:
     return parse_dataset(Path(path).read_text(encoding="utf-8"))
-
-
-def dump_dataset(dataset: Dataset, path: str | Path) -> None:
-    Path(path).write_text(serialize_dataset(dataset), encoding="utf-8")
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:
@@ -232,41 +252,3 @@ def validate_dataset(dataset: Dataset) -> list[str]:
                 violations.append(f"{label}: non-positive or non-finite price")
     return violations
 
-
-def save_collection_index(refs: list[CollectionRef], path: str | Path) -> None:
-    """Write the discovered-collection index as a canonical JSON list."""
-    obj = [
-        {
-            "collection_id": r.collection_id,
-            "collection_name": r.collection_name,
-            "volume": float(r.volume),
-            "id": r.internal_id,
-        }
-        for r in refs
-    ]
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
-
-
-def load_collection_index(path: str | Path) -> list[CollectionRef]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"collection index: not valid JSON ({exc})") from exc
-    if not isinstance(raw, list):
-        raise SchemaError("collection index: top level is not a list")
-    refs = []
-    for i, rec in enumerate(raw):
-        try:
-            refs.append(
-                CollectionRef(
-                    collection_id=rec["collection_id"],
-                    collection_name=rec["collection_name"],
-                    volume=float(rec["volume"]),
-                    internal_id=rec.get("id"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"collection index: element {i} malformed ({exc})") from exc
-    return refs

@@ -27,7 +27,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qsl, urlsplit
 
-from .model import CollectionRef, SchemaError, TradeEvent
+from .model import CollectionRef, SchemaError, TradeEvent, read_json, write_json
 
 HTTP_403 = "HTTP_403"
 HTTP_429 = "HTTP_429"
@@ -141,17 +141,11 @@ class Fixture:
 
 
 def save_fixture(fixture: Fixture, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(fixture.to_json_obj(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(fixture.to_json_obj(), path)
 
 
 def load_fixture(path: str | Path) -> Fixture:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"fixture file: not valid JSON ({exc})") from exc
-    return Fixture.from_json_obj(obj)
+    return Fixture.from_json_obj(read_json(path, "fixture", dict))
 
 
 def _unique_alnum(rng: random.Random, length: int, seen: set[str]) -> str:
@@ -177,6 +171,8 @@ def generate_fixture(
     ``trades_per_token_range`` bounds the number of *sale* events per
     token, inclusive.
     """
+    if n_collections < 0 or tokens_per_collection < 0:
+        raise ValueError("n_collections and tokens_per_collection must be non-negative")
     lo, hi = trades_per_token_range
     if lo < 0 or hi < lo:
         raise ValueError(f"bad trades_per_token_range {trades_per_token_range}")

@@ -11,7 +11,7 @@ import pytest
 
 from nftfolio import ingest
 from nftfolio.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
-from nftfolio.model import PriceSeries, TokenRef, dump_dataset, load_dataset
+from nftfolio.model import PriceSeries, TokenRef, dump_json, load_dataset, serialize_dataset
 from nftfolio.replay import generate_fixture, load_fixture
 from nftfolio.returns import time_weighted_return
 
@@ -19,7 +19,7 @@ FAST_CRAWL = ["--qps", "500", "--delay", "0.002", "--timeout", "5"]
 
 
 def write_dataset(path, dataset):
-    dump_dataset(dataset, path)
+    path.write_text(serialize_dataset(dataset), encoding="utf-8")
     return str(path)
 
 
@@ -66,6 +66,60 @@ class TestUsage:
 
     def test_replay_requires_fixture_or_seed(self, capsys):
         assert main(["replay"]) == EXIT_USAGE
+
+
+class TestOutOfRangeValues:
+    """A value the stage's config rejects is a usage error: one ``error:``
+    line and exit 2, before any stage work."""
+
+    def required_args(self, command, tmp_path, monkeypatch):
+        if command == "crawl":
+            monkeypatch.delenv("PIPELINE_ENDPOINT", raising=False)
+            monkeypatch.setattr(ingest, "run_crawl", lambda *a, **k: pytest.fail("crawl ran"))
+            return ["--endpoint", "http://127.0.0.1:1", "--workdir", str(tmp_path / "w")]
+        if command == "optimize":
+            dataset = {
+                "S": [
+                    series_of("a1", "S", [(86400, 1.0), (172800, 2.0), (259200, 1.5)]),
+                    series_of("b1", "S", [(86400, 3.0), (172800, 2.0), (259200, 2.5)]),
+                ]
+            }
+            path = write_dataset(tmp_path / "d.json", dataset)
+            return ["--all", "--dataset", path, "--out", str(tmp_path / "p.json")]
+        return []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--top", "0"],
+            ["optimize", "--grid-period", "0"],
+            ["crawl", "--qps", "0"],
+            ["crawl", "--concurrency", "0"],
+            ["crawl", "--collections", "0"],
+            ["crawl", "--timeout", "0"],
+            ["crawl", "--delay", "-1"],
+            ["crawl", "--activity-page-size", "0"],
+            ["replay", "--seed", "1", "--trades-min", "5", "--trades-max", "2"],
+            ["replay", "--seed", "1", "--collections", "-1"],
+            ["replay", "--seed", "1", "--tokens-per-collection", "-2"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        rc = main(argv + self.required_args(argv[0], tmp_path, monkeypatch))
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_config_value_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top": 0}))
+        argv = ["optimize", "--config", str(cfg)]
+        rc = main(argv + self.required_args("optimize", tmp_path, monkeypatch))
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "p.json").exists()
 
 
 class TestCrawlCommand:
@@ -315,6 +369,22 @@ class TestReportCommand:
         assert rc == EXIT_DOMAIN
         assert "element 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("[{", "not valid JSON"),
+            ('{"token": "tokA1"}', "top level is not a list"),
+            ('[{"token": "tokA1", "series_name": "S", "total_return": 0.5}]',
+             "element 0 malformed"),
+        ],
+    )
+    def test_malformed_returns_is_domain_error(self, tmp_path, capsys, text, detail):
+        bad = tmp_path / "returns.json"
+        bad.write_text(text)
+        rc = main(["report", "--returns", str(bad)])
+        assert rc == EXIT_DOMAIN
+        assert f"error: returns file {bad}: {detail}" in capsys.readouterr().err
+
 
 class TestReplayCommand:
     def test_seed_to_fixture_file(self, tmp_path, capsys):
@@ -342,6 +412,30 @@ class TestReplayCommand:
         rc = main(["replay", "--fixture", str(out)])
         assert rc == EXIT_OK
         assert "seed=7 collections=3 tokens=12" in capsys.readouterr().out
+
+
+class TestCanonicalOutput:
+    def test_every_json_output_is_canonical(self, server_factory, tmp_path):
+        """Each JSON file a stage writes is byte-identical to ``dump_json``
+        of its own contents."""
+        fixture_path = tmp_path / "fx.json"
+        work = tmp_path / "work"
+        returns_path, portfolio_path = tmp_path / "returns.json", tmp_path / "portfolio.json"
+        assert main(["replay", "--seed", "42", "--out", str(fixture_path)]) == EXIT_OK
+        server = server_factory(load_fixture(fixture_path))
+        rc = main(
+            ["crawl", "--endpoint", server.base_url, "--workdir", str(work),
+             "--cookie-persistence"] + FAST_CRAWL
+        )
+        assert rc == EXIT_OK
+        dataset_path = str(work / "dataset.json")
+        assert main(["analyze", "--dataset", dataset_path, "--out", str(returns_path)]) == EXIT_OK
+        rc = main(["optimize", "--dataset", dataset_path, "--all", "--out", str(portfolio_path)])
+        assert rc == EXIT_OK
+        for path in (fixture_path, work / "cookies.json", work / "dataset.json",
+                     returns_path, portfolio_path):
+            text = path.read_text(encoding="utf-8")
+            assert text == dump_json(json.loads(text)), path
 
 
 class TestConfigFile:

@@ -276,21 +276,26 @@ class TestMarketClient:
         client = MarketClient(fast_config("http://127.0.0.1:9"))
         client.load_cookies(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("text", ["[1]", "{not json"])
+    def test_load_malformed_cookie_file_is_schema_error(self, tmp_path, text):
+        jar_path = tmp_path / "cookies.json"
+        jar_path.write_text(text)
+        client = MarketClient(fast_config("http://127.0.0.1:9"))
+        with pytest.raises(SchemaError, match=r"cookie file .*cookies\.json: "):
+            client.load_cookies(jar_path)
+
 
 class TestDiscoverCollections:
-    def test_refs_ranked_by_volume_and_index_saved(self, server_factory, tmp_path):
+    def test_refs_ranked_by_volume(self, server_factory):
         fx = generate_fixture(42, n_collections=4)
         server = server_factory(fx)
         config = fast_config(server.base_url)
-        refs = discover_collections(MarketClient(config), config, tmp_path / "index.json")
+        refs = discover_collections(MarketClient(config), config)
         volumes = [r.volume for r in refs]
         assert volumes == sorted(volumes, reverse=True)
         assert {r.collection_id for r in refs} == {
             c.ref.collection_id for c in fx.collections
         }
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert [e["collection_id"] for e in index] == [r.collection_id for r in refs]
-        assert set(index[0]) == {"collection_id", "collection_name", "volume", "id"}
 
     def test_request_carries_ranking_params(self, server_factory):
         server = server_factory(generate_fixture(42))
@@ -607,6 +612,16 @@ class TestPersistence:
 
 
 class TestRunCrawl:
+    def test_malformed_cookie_file_fails_before_the_store_opens(self, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "cookies.json").write_text("[1]")
+        config = fast_config("http://127.0.0.1:9", cookie_persistence=True)
+        with pytest.raises(SchemaError, match="top level is not a JSON object"):
+            run_crawl(config, work)
+        assert not (work / "results.jsonl").exists()
+        assert (work / "cookies.json").read_text() == "[1]"
+
     def test_full_crawl_matches_fixture_contents(self, server_factory, tmp_path):
         fx = generate_fixture(42)
         server = server_factory(fx)
@@ -617,7 +632,7 @@ class TestRunCrawl:
         assert dataset == expected_dataset(fx)
         for c in fx.collections:
             assert stored_series(tmp_path / "work", c.ref.collection_name, c.tokens) == set(c.tokens)
-        assert (tmp_path / "work" / "collections.json").exists()
+        assert not (tmp_path / "work" / "collections.json").exists()
         assert not (tmp_path / "work" / "checkpoint.json").exists()
 
     def test_two_runs_byte_identical(self, server_factory, tmp_path):

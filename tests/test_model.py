@@ -12,9 +12,7 @@ from nftfolio.model import (
     PriceSeries,
     SchemaError,
     TokenRef,
-    load_collection_index,
     parse_dataset,
-    save_collection_index,
     serialize_dataset,
     validate_dataset,
 )
@@ -118,14 +116,3 @@ class TestValidation:
             ]
         }
         assert any("duplicate token" in v for v in validate_dataset(ds))
-
-
-class TestCollectionIndex:
-    def test_round_trip(self, tmp_path):
-        refs = [
-            CollectionRef("cid1", "First", 300.5, internal_id="i1"),
-            CollectionRef("cid2", "Second", 100.0),
-        ]
-        path = tmp_path / "collections.json"
-        save_collection_index(refs, path)
-        assert load_collection_index(path) == refs
